@@ -22,6 +22,7 @@ __all__ = [
     "DEFAULT_U_BUDGET_BYTES",
     "GramStats",
     "gram_dense",
+    "u_conv_bytes",
     "build_u_conv",
     "gram_conv",
     "per_sample_grad_dense",
@@ -88,6 +89,12 @@ def gram_dense(capture: LayerCapture) -> GramStats:
     return GramStats(capture.layer, g, g.mean(axis=1))
 
 
+def u_conv_bytes(out_channels: int, patch_rows: int, batch: int) -> int:
+    """Bytes of a conv layer's explicit U: out_channels * patch_rows rows
+    (patch_rows = in_channels * kernel^2) by batch float64 columns."""
+    return out_channels * patch_rows * batch * 8
+
+
 def build_u_conv(capture: LayerCapture,
                  max_bytes: int = DEFAULT_U_BUDGET_BYTES) -> np.ndarray:
     """Explicit per-sample gradient matrix for a conv layer.
@@ -102,7 +109,7 @@ def build_u_conv(capture: LayerCapture,
     z, x = capture.z, capture.x
     o, s, m = z.shape
     ik2 = x.shape[0]
-    need = o * ik2 * m * 8
+    need = u_conv_bytes(o, ik2, m)
     if need > max_bytes:
         raise ValueError(
             f"explicit per-sample gradient matrix needs {need} bytes "

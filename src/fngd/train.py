@@ -110,9 +110,19 @@ def load_datasets(cfg: TrainConfig) -> tuple[data.Dataset, data.Dataset | None]:
     return train, test
 
 
-def evaluate(net: nn.Network, ds: data.Dataset) -> tuple[float, float | None]:
-    """Full-pass loss and, for classification, top-1 accuracy."""
-    outputs = nn.forward(net, ds.inputs).outputs
+def evaluate(net: nn.Network, ds: data.Dataset, batch: int) -> tuple[float, float | None]:
+    """Loss and, for classification, top-1 accuracy over the whole split.
+
+    The forward pass runs over consecutive column slices of `batch`
+    samples, so evaluation holds no more activations (or conv im2col
+    patches) than a training step does; loss and accuracy are computed
+    once over the concatenated outputs.
+    """
+    outputs = np.concatenate(
+        [nn.forward(net, ds.inputs[:, s:s + batch]).outputs
+         for s in range(0, ds.n, batch)],
+        axis=1,
+    )
     loss = nn.loss_value(net.loss, outputs, ds.targets)
     if not ds.is_classification:
         return loss, None
@@ -255,7 +265,7 @@ def _train_loop(cfg: TrainConfig, train_ds: data.Dataset,
         times.append(wall_ms)
 
         mean_loss = loss_sum / max(len(plan), 1)
-        _, train_acc = evaluate(net, train_ds)
+        _, train_acc = evaluate(net, train_ds, cfg.batch_size)
         final["train_loss"] = mean_loss
         if train_acc is not None:
             final["train_accuracy"] = train_acc
@@ -264,7 +274,7 @@ def _train_loop(cfg: TrainConfig, train_ds: data.Dataset,
         line = f"epoch {epoch + 1}/{cfg.epochs} loss={mean_loss:.6f}"
         if test_ds is not None:
             t0 = time.perf_counter()
-            test_loss, test_acc = evaluate(net, test_ds)
+            test_loss, test_acc = evaluate(net, test_ds, cfg.batch_size)
             eval_ms = (time.perf_counter() - t0) * 1e3
             final["test_loss"] = test_loss
             if test_acc is not None:

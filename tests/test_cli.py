@@ -130,6 +130,18 @@ def test_config_error_exits_2(tmp_path, out_dir, capsys):
     assert err.startswith("error: train.lr")
 
 
+def test_conv_over_u_budget_exits_2_before_any_output(tmp_path, out_dir, capsys):
+    text = CFG.replace(
+        "input = 5\nlayer = dense 5 4\nlayer = relu\nlayer = dense 4 2",
+        "input = 64 8 8\nlayer = conv 64 128 3 same\nlayer = relu\nlayer = dense 8192 2",
+    ).replace("batch_size = 8", "batch_size = 128")
+    assert main(["train", "--config", str(_write_cfg(tmp_path, text))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: model.layer[0]: fngd")
+    assert "75497472 bytes" in err
+    assert not (out_dir / "metrics.csv").exists()
+
+
 def test_missing_config_exits_2(tmp_path, out_dir, capsys):
     assert main(["train", "--config", str(tmp_path / "ghost.cfg")]) == 2
     assert "error:" in capsys.readouterr().err
