@@ -27,10 +27,13 @@ __all__ = [
     "DatasetSpec",
     "OptimSpec",
     "TrainConfig",
+    "check_u_budget",
     "load_train_config",
 ]
 
 OPTIMIZERS = ("sgd", "sgd_momentum", "adamw", "ngd_smw", "fngd", "fngd_explicit")
+# Optimizers whose steps build each layer's per-sample gradient Gram.
+PRECONDITIONED = ("ngd_smw", "fngd", "fngd_explicit")
 
 
 class ConfigError(ValueError):
@@ -260,7 +263,7 @@ def _parse_dataset(sections) -> DatasetSpec:
     return spec
 
 
-def _check_u_budget(model: ModelSpec, kind: str, batch_size: int) -> None:
+def check_u_budget(model: ModelSpec, kind: str, batch_size: int) -> None:
     """Refuse, before any data is read, a conv layer whose Gram needs an
     explicit per-sample gradient matrix larger than the U budget."""
     budget = persample.DEFAULT_U_BUDGET_BYTES
@@ -321,13 +324,13 @@ def load_train_config(path, out_dir=None,
     if batch_size < 1:
         raise ConfigError(f"train.batch_size: must be positive, got {batch_size}")
 
-    preconditioned = kind in ("fngd", "fngd_explicit", "ngd_smw")
+    preconditioned = kind in PRECONDITIONED
     if preconditioned and batch_size < 2:
         raise ConfigError(
             f"train.batch_size: {kind} needs at least 2 samples per batch, got {batch_size}"
         )
     if preconditioned and not expect_loaded_coeffs:
-        _check_u_budget(model, kind, batch_size)
+        check_u_budget(model, kind, batch_size)
     if kind in ("fngd", "fngd_explicit") and epochs < 2 and not expect_loaded_coeffs:
         raise ConfigError(
             f"train.epochs: {kind} needs at least 2 epochs (epoch one computes "

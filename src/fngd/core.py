@@ -9,9 +9,10 @@ coefficient vector
     c = (1/M) (1 - (lambda I + (1/M) G)^{-1} gbar),   G = U^T U,
     gbar = (1/M) G 1,
 
-up to a 1/lambda factor that is folded into the learning rate.  U c
-itself is never formed through U: for a dense layer it equals
-Z diag(c) X^T, so preconditioning costs one weighted GEMM.
+up to a 1/lambda factor that is folded into the learning rate.  For a
+dense layer U c equals Z diag(c) X^T, so preconditioning costs one
+weighted GEMM and U is never formed.  A conv layer's Gram is built from
+an explicit U, and its coefficient-phase step reuses that U for U c.
 
 Training runs in two phases.  During epoch one each batch solves for
 its own c and damping lambda while a table accumulates them; after the
@@ -112,7 +113,17 @@ def precondition_conv(capture: nn.LayerCapture, c: np.ndarray) -> np.ndarray:
     return (z * c).reshape(o, s * m) @ x.reshape(-1, s * m).T
 
 
-def precondition(capture: nn.LayerCapture, c: np.ndarray) -> np.ndarray:
+def precondition(capture: nn.LayerCapture, c: np.ndarray,
+                 u: np.ndarray | None = None) -> np.ndarray:
+    """U c as a weight-shaped matrix.
+
+    Given u, the per-sample gradient matrix the Gram was built from, this
+    is one matrix-vector product; otherwise the weighted-input route.
+    """
+    if u is not None:
+        if c.shape != (u.shape[1],):
+            raise ValueError(f"coefficient shape {c.shape} does not match batch {u.shape[1]}")
+        return (u @ c).reshape(capture.z.shape[0], capture.x.shape[0])
     if capture.kind == "dense":
         return precondition_dense(capture, c)
     if capture.kind == "conv":
@@ -296,21 +307,19 @@ def preconditioned_step(net: nn.Network, x, y, eta: float, rule: DampingRule,
                         u_budget: int = persample.DEFAULT_U_BUDGET_BYTES) -> float:
     """One step that computes fresh coefficients from this batch.
 
-    Every preconditioned layer gets w -= (eta/lambda) U c through the
-    weighted-input route; biases take the plain gradient at eta.  When a
-    table is given the (c, lambda) pair of every layer is accumulated
-    into it, which is the only difference between the coefficient phase
-    and a natural-gradient step that never shares.
+    Every preconditioned layer gets w -= (eta/lambda) U c, through the U
+    its Gram built (conv layers) or else the weighted-input route; biases
+    take the plain gradient at eta.  When a table is given the
+    (c, lambda) pair of every layer is accumulated into it, which is the
+    only difference between the coefficient phase and a natural-gradient
+    step that never shares.
     """
     fwd = nn.forward(net, x)
     bwd = nn.backward(net, fwd, y)
     params = net.parameters()
     for i in net.preconditioned():
         cap = fwd.captures[i]
-        if cap.kind == "dense":
-            stats = persample.gram_dense(cap)
-        else:
-            stats = persample.gram_conv(persample.build_u_conv(cap, u_budget), layer=i)
+        stats = persample.gram(cap, u_budget)
         lam = damping_lambda(stats, rule)
         try:
             v = coefficients(stats, lam)
@@ -321,7 +330,7 @@ def preconditioned_step(net: nn.Network, x, y, eta: float, rule: DampingRule,
         if explicit_u:
             d = precondition_explicit_u(cap, v, u_budget)
         else:
-            d = precondition(cap, v)
+            d = precondition(cap, v, u=stats.u)
         _apply_update(params[f"layer{i}.weight"], d / lam, eta, mods, f"layer{i}.weight")
         if table is not None:
             table.accumulate(i, v, lam)

@@ -4,7 +4,8 @@ For a dense layer, sample m's weight gradient is the outer product
 z_m x_m^T, so the M x M Gram matrix of per-sample gradients factors
 entrywise: G = (Z^T Z) * (X^T X).  Conv layers sum one such product per
 patch position; there the explicit per-sample gradient matrix U (one
-flattened gradient per column) is built first and G = U^T U.
+flattened gradient per column) is built first, by one batched GEMM over
+the samples, and G = U^T U.  `gram` picks the route for a capture.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .nn import LayerCapture
 __all__ = [
     "DEFAULT_U_BUDGET_BYTES",
     "GramStats",
+    "gram",
     "gram_dense",
     "u_conv_bytes",
     "build_u_conv",
@@ -100,7 +102,10 @@ def build_u_conv(capture: LayerCapture,
     """Explicit per-sample gradient matrix for a conv layer.
 
     Column m is the flattened weight gradient of sample m, summed over
-    patch positions.  Refuses to allocate more than max_bytes.
+    patch positions: Z_m X_m^T with Z_m (out, S) and X_m (in*k^2, S).
+    Refuses to allocate more than max_bytes.  U is returned sample-major
+    (its transpose is C-contiguous), the layout the batched product
+    writes and `gram_conv` reads without a copy.
     """
     if capture.kind != "conv":
         raise ValueError(f"expected a conv capture, got {capture.kind!r}")
@@ -115,14 +120,35 @@ def build_u_conv(capture: LayerCapture,
             f"explicit per-sample gradient matrix needs {need} bytes "
             f"({o * ik2} x {m}), budget is {max_bytes}"
         )
-    return np.einsum("osm,ism->oim", z, x).reshape(o * ik2, m)
+    # Sample-major copies, one row at a time so that each row's (S, M)
+    # block stays in cache, then one GEMM per sample over the patches.
+    xm = np.empty((m, ik2, s))
+    for i in range(ik2):
+        xm[:, i, :] = x[i].T
+    zm = np.empty((m, o, s))
+    for i in range(o):
+        zm[:, i, :] = z[i].T
+    return np.matmul(zm, xm.transpose(0, 2, 1)).reshape(m, o * ik2).T
 
 
 def gram_conv(u: np.ndarray, layer: int = -1) -> GramStats:
-    """Gram and column mean from an explicit per-sample gradient matrix."""
-    u = linalg.as_matrix(u)
-    g = u.T @ u
-    return GramStats(layer, g, g.mean(axis=1), u=u)
+    """Gram and column mean from an explicit per-sample gradient matrix.
+
+    The checks run on U^T, which is C-contiguous for the sample-major U
+    of `build_u_conv`, so that U is not copied.
+    """
+    ut = linalg.as_matrix(np.transpose(u))
+    g = ut @ ut.T
+    return GramStats(layer, g, g.mean(axis=1), u=ut.T)
+
+
+def gram(capture: LayerCapture,
+         u_budget: int = DEFAULT_U_BUDGET_BYTES) -> GramStats:
+    """Gram of one layer's per-sample gradients by the route its kind takes:
+    the Hadamard identity for dense layers, explicit U for conv layers."""
+    if capture.kind == "dense":
+        return gram_dense(capture)
+    return gram_conv(build_u_conv(capture, u_budget), layer=capture.layer)
 
 
 def per_sample_grad_dense(capture: LayerCapture, m: int) -> np.ndarray:

@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import core, data, nn, optim
-from .config import ConfigError, ModelSpec, TrainConfig
+from . import core, data, nn, optim, persample
+from .config import PRECONDITIONED, ConfigError, ModelSpec, TrainConfig, check_u_budget
 
 __all__ = [
     "METRICS_VERSION",
@@ -218,17 +218,31 @@ class TrainResult:
 
 
 def _dump_grams(net: nn.Network, x: np.ndarray, y, out_dir: Path) -> None:
-    from . import persample
-
     fwd = nn.forward(net, x)
     nn.backward(net, fwd, y)
     for i in net.preconditioned():
-        cap = fwd.captures[i]
-        if cap.kind == "dense":
-            stats = persample.gram_dense(cap)
-        else:
-            stats = persample.gram_conv(persample.build_u_conv(cap), layer=i)
-        persample.write_gram_csv(stats, out_dir / f"gram_layer{i}.csv")
+        persample.write_gram_csv(persample.gram(fwd.captures[i]),
+                                 out_dir / f"gram_layer{i}.csv")
+
+
+def _check_loaded_table(table: core.CoefficientTable, net: nn.Network,
+                        batch_size: int, path) -> None:
+    """Refuse a loaded coefficient table that does not fit the network:
+    it must hold exactly the preconditioned layers, each with one
+    coefficient per batch slot."""
+    have, want = sorted(table.shared), net.preconditioned()
+    if have != want:
+        raise ConfigError(
+            f"{path}: coefficient table holds layers {have}, "
+            f"the model preconditions layers {want}"
+        )
+    for i in want:
+        m = table.shared[i][0].shape[0]
+        if m != batch_size:
+            raise ConfigError(
+                f"{path}: layer {i} has {m} coefficients, "
+                f"train.batch_size is {batch_size}"
+            )
 
 
 def _train_loop(cfg: TrainConfig, train_ds: data.Dataset,
@@ -243,7 +257,7 @@ def _train_loop(cfg: TrainConfig, train_ds: data.Dataset,
         )
     runner = _Runner(cfg, net, table)
     sched = optim.make_lr_schedule(cfg.optim.lr, cfg.epochs, cfg.milestones, cfg.lr_decay)
-    if cfg.gram_dump_dir is not None and runner.kind in ("fngd", "fngd_explicit", "ngd_smw"):
+    if cfg.gram_dump_dir is not None and runner.kind in PRECONDITIONED:
         first = data.batches(train_ds.n, cfg.batch_size, cfg.seed)[0]
         _dump_grams(net, train_ds.inputs[:, first],
                     _take_targets(train_ds.targets, first), cfg.gram_dump_dir)
@@ -290,10 +304,18 @@ def _train_loop(cfg: TrainConfig, train_ds: data.Dataset,
 
 def run_train(cfg: TrainConfig, save_coeffs=None, load_coeffs=None,
               log=None) -> TrainResult:
-    """Train once per the config; write metrics and optional coefficients."""
+    """Train once per the config; write metrics and optional coefficients.
+
+    A loaded coefficient table is checked against the network before any
+    data is read or any output is written.
+    """
     if load_coeffs is not None and cfg.optim.kind not in ("fngd", "fngd_explicit"):
         raise ValueError(f"loaded coefficients only apply to fngd, not {cfg.optim.kind}")
-    table = core.CoefficientTable.load(load_coeffs) if load_coeffs else None
+    table = None
+    if load_coeffs:
+        table = core.CoefficientTable.load(load_coeffs)
+        _check_loaded_table(table, build_network(cfg.model, cfg.seed), cfg.batch_size,
+                            load_coeffs)
     train_ds, test_ds = load_datasets(cfg)
     writer = _MetricsWriter(cfg.metrics_path, cfg.optim.kind)
     try:
@@ -319,6 +341,14 @@ def _with_kind(cfg: TrainConfig, kind: str, **optim_fields) -> TrainConfig:
     return replace(cfg, optim=replace(cfg.optim, kind=kind, **optim_fields))
 
 
+def _check_kinds_fit(cfg: TrainConfig, kinds) -> None:
+    """Refuse, before any data is read, a model that some preconditioned
+    kind among `kinds` could not train within the conv U budget."""
+    for kind in kinds:
+        if kind in PRECONDITIONED:
+            check_u_budget(cfg.model, kind, cfg.batch_size)
+
+
 def run_bench(cfg: TrainConfig, log=None) -> Path:
     """Per-epoch wall time for sgd, fngd (both phases), recompute ngd,
     and the explicit-U route, all on identical data and init.
@@ -328,6 +358,7 @@ def run_bench(cfg: TrainConfig, log=None) -> Path:
     """
     if cfg.epochs < 4:
         raise ValueError(f"bench needs at least 4 epochs for stable medians, got {cfg.epochs}")
+    _check_kinds_fit(cfg, BENCH_KINDS)
     train_ds, test_ds = load_datasets(cfg)
     rows = []
     sgd_median = None
@@ -371,6 +402,7 @@ def run_ablate(cfg: TrainConfig, log=None) -> Path:
     accuracy, median per-epoch time, and the time ratio against the
     full method.
     """
+    _check_kinds_fit(cfg, [kind for _, kind, _ in ABLATE_VARIANTS])
     train_ds, test_ds = load_datasets(cfg)
     measured = []
     for name, kind, fields in ABLATE_VARIANTS:

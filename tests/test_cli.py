@@ -8,7 +8,7 @@ import csv
 
 import pytest
 
-from fngd import linalg
+from fngd import linalg, train
 from fngd.cli import main
 from fngd.train import METRICS_COLUMNS, METRICS_VERSION
 
@@ -140,6 +140,58 @@ def test_conv_over_u_budget_exits_2_before_any_output(tmp_path, out_dir, capsys)
     assert err.startswith("error: model.layer[0]: fngd")
     assert "75497472 bytes" in err
     assert not (out_dir / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["bench", "ablate"])
+def test_bench_and_ablate_check_u_budget_before_any_training(command, tmp_path, out_dir,
+                                                             capsys, monkeypatch):
+    # the config's own optimizer builds no Gram; the fngd kinds that
+    # bench and ablate train as well must still be checked up front
+    text = CFG.replace(
+        "input = 5\nlayer = dense 5 4\nlayer = relu\nlayer = dense 4 2",
+        "input = 64 8 8\nlayer = conv 64 128 3 same\nlayer = relu\nlayer = dense 8192 2",
+    ).replace("batch_size = 8", "batch_size = 128").replace("optimizer = fngd",
+                                                            "optimizer = sgd")
+    text = text.replace("epochs = 2", "epochs = 4")
+
+    def no_data(cfg):
+        raise AssertionError("data was read before the budget check")
+
+    monkeypatch.setattr(train, "load_datasets", no_data)
+    assert main([command, "--config", str(_write_cfg(tmp_path, text))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: model.layer[0]: fngd")
+    assert "75497472 bytes" in captured.err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("change, message", [
+    (("batch_size = 8", "batch_size = 4"), "layer 0 has 8 coefficients, train.batch_size is 4"),
+    (("layer = dense 4 2", "layer = dense 4 3\nlayer = relu\nlayer = dense 3 2"),
+     r"holds layers [0, 2], the model preconditions layers [0, 2, 4]"),
+])
+def test_mismatched_loaded_coeffs_exit_2_before_any_output(change, message, tmp_path,
+                                                           monkeypatch, capsys):
+    table_path = tmp_path / "coeffs.csv"
+    monkeypatch.setenv("FNGD_OUTPUT_DIR", str(tmp_path / "first"))
+    assert main(["train", "--config", str(_write_cfg(tmp_path, CFG)),
+                 "--save-coeffs", str(table_path)]) == 0
+    capsys.readouterr()
+
+    def no_data(cfg):
+        raise AssertionError("data was read before the table check")
+
+    monkeypatch.setattr(train, "load_datasets", no_data)
+    second = tmp_path / "second"
+    monkeypatch.setenv("FNGD_OUTPUT_DIR", str(second))
+    cfg = _write_cfg(tmp_path, CFG.replace(*change), name="resume.cfg")
+    assert main(["train", "--config", str(cfg), "--load-coeffs", str(table_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {table_path}: ")
+    assert message in captured.err
+    assert not second.exists()
 
 
 def test_missing_config_exits_2(tmp_path, out_dir, capsys):

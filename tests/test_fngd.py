@@ -23,9 +23,9 @@ def _dense_capture(seed, out_dim=3, in_dim=4, m=5):
     return cap
 
 
-def _conv_capture(seed, o=2, c=1, k=3, h=4, w=4, m=3):
+def _conv_capture(seed, o=2, c=1, k=3, h=4, w=4, m=3, padding="same"):
     rng = _rng(seed)
-    conv = nn.Conv2d.create(c, o, k, "same", h, w, rng)
+    conv = nn.Conv2d.create(c, o, k, padding, h, w, rng)
     net = nn.Network([conv], "squared_error")
     x = rng.standard_normal((c * h * w, m))
     t = rng.standard_normal((conv.flat_out, m))
@@ -182,6 +182,55 @@ def test_precondition_conv_equals_explicit_u():
         u = persample.build_u_conv(cap)
         want = (u @ c).reshape(d.shape)
         assert np.abs(d - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("padding", ["same", "valid"])
+def test_precondition_through_u_matches_weighted_route(padding, rel_err):
+    cap = _conv_capture(95, o=3, c=2, k=3, h=5, w=5, m=6, padding=padding)
+    c = _rng(96).standard_normal(6)
+    u = persample.build_u_conv(cap)
+    assert rel_err(core.precondition(cap, c, u=u), core.precondition(cap, c)) <= 1e-12
+    with pytest.raises(ValueError, match="does not match batch"):
+        core.precondition(cap, c[:5], u=u)
+
+
+def test_epoch_one_conv_step_through_u_matches_weighted_input(monkeypatch, rel_err):
+    """The coefficient-phase step moves conv weights along the U its Gram
+    built; forcing the weighted-input route instead gives the same step."""
+    rng = _rng(97)
+    conv1 = nn.Conv2d.create(2, 3, 3, "same", 6, 6, rng)
+    conv2 = nn.Conv2d.create(3, 4, 3, "valid", 6, 6, rng)
+    net = nn.Network([conv1, nn.Relu(), conv2, nn.Relu(),
+                      nn.Dense.create(conv2.flat_out, 3, rng)], "cross_entropy")
+    x = rng.standard_normal((72, 8))
+    y = rng.integers(0, 3, 8)
+    rule = core.DampingRule(alpha=0.05)
+    real = core.precondition
+    routes = []
+
+    def recording(cap, c, u=None):
+        routes.append((cap.kind, u is not None))
+        return real(cap, c, u=u)
+
+    def weighted_input(cap, c, u=None):
+        return real(cap, c)
+
+    via_u, via_weighted = _clone_net(net), _clone_net(net)
+    tables = core.CoefficientTable(), core.CoefficientTable()
+    monkeypatch.setattr(core, "precondition", recording)
+    core.epoch_one_step(via_u, x, y, tables[0], 0.1, rule)
+    monkeypatch.setattr(core, "precondition", weighted_input)
+    core.epoch_one_step(via_weighted, x, y, tables[1], 0.1, rule)
+
+    assert routes == [("conv", True), ("conv", True), ("dense", False)]
+    for i in net.preconditioned():
+        moved = via_weighted.layers[i].weight - net.layers[i].weight
+        assert np.abs(moved).max() > 0.0
+        assert rel_err(via_u.layers[i].weight - net.layers[i].weight, moved) <= 1e-12
+    for t in tables:
+        t.finalize()
+    for i in net.preconditioned():
+        assert np.array_equal(tables[0].shared_for(i)[0], tables[1].shared_for(i)[0])
 
 
 def test_precondition_explicit_u_matches_weighted_route():

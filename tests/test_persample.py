@@ -19,10 +19,10 @@ def _dense_capture(seed, out_dim=3, in_dim=4, m=5):
     return cap
 
 
-def _conv_capture(seed, o=2, c=1, k=3, h=4, w=4, m=3):
+def _conv_capture(seed, o=2, c=1, k=3, h=4, w=4, m=3, padding="same"):
     """Real captures from a conv forward/backward, not synthetic shapes."""
     rng = _rng(seed)
-    conv = nn.Conv2d.create(c, o, k, "same", h, w, rng)
+    conv = nn.Conv2d.create(c, o, k, padding, h, w, rng)
     net = nn.Network([conv], "squared_error")
     x = rng.standard_normal((c * h * w, m))
     t = rng.standard_normal((conv.flat_out, m))
@@ -157,6 +157,37 @@ def test_u_conv_columns_match_per_sample_finite_differences(rel_err, fd_grad):
             return nn.loss_value("squared_error", out, t[:, m : m + 1])
         want = fd_grad(sample_loss, conv.weight)
         assert rel_err(u[:, m], want.reshape(-1)) <= 1e-5
+
+
+@pytest.mark.parametrize("m", [2, 7, 64])
+@pytest.mark.parametrize("padding", ["same", "valid"])
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_u_conv_matches_einsum_reference(k, padding, m, rel_err):
+    cap = _conv_capture(20 + k, o=3, c=2, k=k, h=6, w=5, m=m, padding=padding)
+    o, s, _ = cap.z.shape
+    assert s == (30 if padding == "same" else (7 - k) * (6 - k))
+    want = np.einsum("osm,ism->oim", cap.z, cap.x).reshape(o * cap.x.shape[0], m)
+    got = persample.build_u_conv(cap)
+    assert got.shape == want.shape
+    assert rel_err(got, want) <= 1e-12
+
+
+def test_gram_dispatches_on_capture_kind():
+    dense = _dense_capture(16)
+    dense.layer = 4
+    got = persample.gram(dense)
+    assert got.layer == 4 and got.u is None
+    assert np.array_equal(got.gram, persample.gram_dense(dense).gram)
+
+    conv = _conv_capture(17)
+    conv.layer = 2
+    got = persample.gram(conv)
+    want = persample.gram_conv(persample.build_u_conv(conv))
+    assert got.layer == 2
+    assert np.array_equal(got.gram, want.gram)
+    assert np.array_equal(got.u, want.u)
+    with pytest.raises(ValueError, match="budget"):
+        persample.gram(conv, u_budget=100)
 
 
 def test_u_conv_memory_budget():
