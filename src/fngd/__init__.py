@@ -10,8 +10,7 @@ from .core import (
     coefficients,
     damping_lambda,
     epoch_one_step,
-    precondition_conv,
-    precondition_dense,
+    precondition,
     shared_step,
 )
 from .data import Dataset, batches, load_idx, synthetic_classification
@@ -36,8 +35,7 @@ __all__ = [
     "gram_dense",
     "load_idx",
     "loss_value",
-    "precondition_conv",
-    "precondition_dense",
+    "precondition",
     "shared_step",
     "synthetic_classification",
     "weight_gradients",

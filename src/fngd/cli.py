@@ -12,7 +12,7 @@ import sys
 
 from . import theory
 from .config import ConfigError, load_train_config
-from .train import run_bench, run_train, run_ablate
+from .train import TrainingError, run_ablate, run_bench, run_train
 
 __all__ = ["main"]
 
@@ -90,6 +90,9 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except TrainingError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -34,6 +34,8 @@ __all__ = [
 OPTIMIZERS = ("sgd", "sgd_momentum", "adamw", "ngd_smw", "fngd", "fngd_explicit")
 # Optimizers whose steps build each layer's per-sample gradient Gram.
 PRECONDITIONED = ("ngd_smw", "fngd", "fngd_explicit")
+# Optimizers that build a coefficient table in epoch one and share it after.
+SHARING = ("fngd", "fngd_explicit")
 
 
 class ConfigError(ValueError):
@@ -315,6 +317,12 @@ def load_train_config(path, out_dir=None,
         raise ConfigError(f"train.lr: must be positive, got {optim.lr}")
     if optim.alpha <= 0.0:
         raise ConfigError(f"train.alpha: must be positive, got {optim.alpha}")
+    if optim.lam_floor <= 0.0:
+        raise ConfigError(f"train.lam_floor: must be positive, got {optim.lam_floor}")
+    if optim.fixed_damping is not None and optim.fixed_damping <= 0.0:
+        raise ConfigError(
+            f"train.fixed_damping: must be positive, got {optim.fixed_damping}"
+        )
 
     epochs = _one(sections, "train", "epochs", default=_REQUIRED, cast=int)
     batch_size = _one(sections, "train", "batch_size", default=_REQUIRED, cast=int)
@@ -331,7 +339,7 @@ def load_train_config(path, out_dir=None,
         )
     if preconditioned and not expect_loaded_coeffs:
         check_u_budget(model, kind, batch_size)
-    if kind in ("fngd", "fngd_explicit") and epochs < 2 and not expect_loaded_coeffs:
+    if kind in SHARING and epochs < 2 and not expect_loaded_coeffs:
         raise ConfigError(
             f"train.epochs: {kind} needs at least 2 epochs (epoch one computes "
             f"the shared coefficients), got {epochs}"

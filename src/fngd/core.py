@@ -19,6 +19,11 @@ its own c and damping lambda while a table accumulates them; after the
 epoch the table averages into (v_tilde, lambda_bar) per layer, and all
 later epochs reuse those shared values with no Gram, no solve, no
 inverse.  Coefficients are tied to batch slots, not sample identity.
+
+Both phases, and the natural-gradient step that never shares, run one
+step body, `preconditioned_step`: only where each layer's (c, lambda)
+comes from differs.  A dense capture is a conv capture with one patch
+position, so U c has one weighted-input route for both layer kinds.
 """
 
 from __future__ import annotations
@@ -36,8 +41,6 @@ __all__ = [
     "CoefficientTable",
     "damping_lambda",
     "coefficients",
-    "precondition_dense",
-    "precondition_conv",
     "precondition",
     "precondition_explicit_u",
     "PostModifiers",
@@ -92,25 +95,16 @@ def coefficients(stats: persample.GramStats, lam: float) -> np.ndarray:
     return (np.full(m, 1.0) - shifted) / m
 
 
-def precondition_dense(capture: nn.LayerCapture, c: np.ndarray) -> np.ndarray:
-    """Weighted-input form of U c for a dense layer: Z diag(c) X^T."""
+def _checked_capture(capture: nn.LayerCapture, c: np.ndarray):
+    """(Z, X) of a dense or conv capture after backward, checked against c."""
+    if capture.kind not in ("dense", "conv"):
+        raise ValueError(f"layer kind {capture.kind!r} is not preconditioned")
     z, x = capture.z, capture.x
     if z is None:
         raise ValueError(f"layer {capture.layer} capture has no Z; run backward first")
-    if c.shape != (z.shape[1],):
-        raise ValueError(f"coefficient shape {c.shape} does not match batch {z.shape[1]}")
-    return (z * c) @ x.T
-
-
-def precondition_conv(capture: nn.LayerCapture, c: np.ndarray) -> np.ndarray:
-    """Weighted-input form of U c for a conv layer: sum_s Z_s diag(c) X_s^T."""
-    z, x = capture.z, capture.x
-    if z is None:
-        raise ValueError(f"layer {capture.layer} capture has no Z; run backward first")
-    o, s, m = z.shape
-    if c.shape != (m,):
-        raise ValueError(f"coefficient shape {c.shape} does not match batch {m}")
-    return (z * c).reshape(o, s * m) @ x.reshape(-1, s * m).T
+    if c.shape != (z.shape[-1],):
+        raise ValueError(f"coefficient shape {c.shape} does not match batch {z.shape[-1]}")
+    return z, x
 
 
 def precondition(capture: nn.LayerCapture, c: np.ndarray,
@@ -118,49 +112,34 @@ def precondition(capture: nn.LayerCapture, c: np.ndarray,
     """U c as a weight-shaped matrix.
 
     Given u, the per-sample gradient matrix the Gram was built from, this
-    is one matrix-vector product; otherwise the weighted-input route.
+    is one matrix-vector product.  Otherwise it is the weighted-input
+    route sum_s Z_s diag(c) X_s^T over patch positions s, one GEMM; a
+    dense capture has a single position, where this is Z diag(c) X^T.
     """
+    z, x = _checked_capture(capture, c)
+    o, i = z.shape[0], x.shape[0]
     if u is not None:
-        if c.shape != (u.shape[1],):
-            raise ValueError(f"coefficient shape {c.shape} does not match batch {u.shape[1]}")
-        return (u @ c).reshape(capture.z.shape[0], capture.x.shape[0])
-    if capture.kind == "dense":
-        return precondition_dense(capture, c)
-    if capture.kind == "conv":
-        return precondition_conv(capture, c)
-    raise ValueError(f"layer kind {capture.kind!r} is not preconditioned")
+        return (u @ c).reshape(o, i)
+    return (z * c).reshape(o, -1) @ x.reshape(i, -1).T
 
 
 def precondition_explicit_u(capture: nn.LayerCapture, c: np.ndarray,
                             max_bytes: int = persample.DEFAULT_U_BUDGET_BYTES) -> np.ndarray:
     """Reference route that materializes per-sample gradients and sums them.
 
-    Produces the same matrix as the weighted-input routes but pays for
+    Produces the same matrix as the weighted-input route but pays for
     building U; kept as an oracle and for the no-acceleration ablation.
     Samples are processed in chunks so the allocation stays under
     max_bytes.
     """
-    if capture.kind not in ("dense", "conv"):
-        raise ValueError(f"layer kind {capture.kind!r} is not preconditioned")
-    z, x = capture.z, capture.x
-    if z is None:
-        raise ValueError(f"layer {capture.layer} capture has no Z; run backward first")
-    if capture.kind == "dense":
-        o, i = z.shape[0], x.shape[0]
-        m = z.shape[1]
-    else:
-        o, _, m = z.shape
-        i = x.shape[0]
-    if c.shape != (m,):
-        raise ValueError(f"coefficient shape {c.shape} does not match batch {m}")
+    z, x = _checked_capture(capture, c)
+    o, i, m = z.shape[0], x.shape[0], z.shape[-1]
+    z, x = z.reshape(o, -1, m), x.reshape(i, -1, m)
     chunk = max(1, max_bytes // (o * i * 8))
     total = np.zeros(o * i)
     for start in range(0, m, chunk):
         sl = slice(start, min(start + chunk, m))
-        if capture.kind == "dense":
-            u = linalg.khatri_rao(z[:, sl], x[:, sl])
-        else:
-            u = np.einsum("osm,ism->oim", z[:, :, sl], x[:, :, sl]).reshape(o * i, -1)
+        u = np.einsum("osm,ism->oim", z[:, :, sl], x[:, :, sl]).reshape(o * i, -1)
         total += u @ c[sl]
     return total.reshape(o, i)
 
@@ -300,40 +279,52 @@ def _apply_update(param: np.ndarray, direction: np.ndarray, lr: float,
     param -= lr * d
 
 
-def preconditioned_step(net: nn.Network, x, y, eta: float, rule: DampingRule,
+def preconditioned_step(net: nn.Network, x, y, eta: float, rule: DampingRule | None,
                         table: CoefficientTable | None = None,
                         mods: PostModifiers | None = None,
-                        explicit_u: bool = False,
-                        u_budget: int = persample.DEFAULT_U_BUDGET_BYTES) -> float:
-    """One step that computes fresh coefficients from this batch.
+                        explicit_u: bool = False) -> float:
+    """The one step body: w -= (eta/lambda) U c for every preconditioned
+    layer; biases take the plain gradient at eta.
 
-    Every preconditioned layer gets w -= (eta/lambda) U c, through the U
-    its Gram built (conv layers) or else the weighted-input route; biases
-    take the plain gradient at eta.  When a table is given the
-    (c, lambda) pair of every layer is accumulated into it, which is the
-    only difference between the coefficient phase and a natural-gradient
-    step that never shares.
+    Without a table, or with one still accumulating, each layer's
+    (c, lambda) comes from this batch's Gram and solve (conv layers then
+    step along the U their Gram built), and an accumulating table
+    records them.  With a finalized table each layer takes the shared
+    (v_tilde, lambda_bar) instead: no Gram, no solve, and `rule` is not
+    read.  Batch slot i reuses coefficient i whichever sample landed in
+    that slot.
     """
     fwd = nn.forward(net, x)
     bwd = nn.backward(net, fwd, y)
     params = net.parameters()
+    shared = table is not None and table.finalized
+    m = fwd.outputs.shape[1]
     for i in net.preconditioned():
         cap = fwd.captures[i]
-        stats = persample.gram(cap, u_budget)
-        lam = damping_lambda(stats, rule)
-        try:
-            v = coefficients(stats, lam)
-        except linalg.NotSPDError as exc:
-            raise RuntimeError(
-                f"coefficient solve failed at layer {i} (pivot {exc.pivot})"
-            ) from exc
-        if explicit_u:
-            d = precondition_explicit_u(cap, v, u_budget)
+        u = None
+        if shared:
+            c, lam = table.shared_for(i)
+            if c.shape[0] != m:
+                raise TableStateError(
+                    f"layer {i}: shared coefficients cover batches of {c.shape[0]}, got {m}"
+                )
         else:
-            d = precondition(cap, v, u=stats.u)
+            stats = persample.gram(cap)
+            lam = damping_lambda(stats, rule)
+            try:
+                c = coefficients(stats, lam)
+            except linalg.NotSPDError as exc:
+                raise RuntimeError(
+                    f"coefficient solve failed at layer {i} (pivot {exc.pivot})"
+                ) from exc
+            u = stats.u
+            if table is not None:
+                table.accumulate(i, c, lam)
+        if explicit_u:
+            d = precondition_explicit_u(cap, c)
+        else:
+            d = precondition(cap, c, u=u)
         _apply_update(params[f"layer{i}.weight"], d / lam, eta, mods, f"layer{i}.weight")
-        if table is not None:
-            table.accumulate(i, v, lam)
     for name, grad in bwd.bias_grads.items():
         _apply_update(params[name], grad, eta, mods, name)
     return bwd.loss
@@ -341,43 +332,17 @@ def preconditioned_step(net: nn.Network, x, y, eta: float, rule: DampingRule,
 
 def epoch_one_step(net: nn.Network, x, y, table: CoefficientTable, eta: float,
                    rule: DampingRule, mods: PostModifiers | None = None,
-                   explicit_u: bool = False,
-                   u_budget: int = persample.DEFAULT_U_BUDGET_BYTES) -> float:
-    """Coefficient-phase step: precondition and feed the shared table."""
+                   explicit_u: bool = False) -> float:
+    """Coefficient-phase step: fresh coefficients that feed the table."""
     if table.finalized:
         raise TableStateError("coefficient table is already finalized")
-    return preconditioned_step(net, x, y, eta, rule, table=table, mods=mods,
-                               explicit_u=explicit_u, u_budget=u_budget)
+    return preconditioned_step(net, x, y, eta, rule, table, mods, explicit_u)
 
 
 def shared_step(net: nn.Network, x, y, table: CoefficientTable, eta: float,
                 mods: PostModifiers | None = None,
-                explicit_u: bool = False,
-                u_budget: int = persample.DEFAULT_U_BUDGET_BYTES) -> float:
-    """Later-epoch step: reuse shared coefficients, no Gram and no solve.
-
-    Weights move by (eta/lambda_bar) Z diag(v_tilde) X^T per layer;
-    batch slot i reuses coefficient i regardless of which sample landed
-    in that slot.
-    """
+                explicit_u: bool = False) -> float:
+    """Later-epoch step: the table's shared coefficients, no Gram, no solve."""
     if not table.finalized:
         raise TableStateError("coefficient table is not finalized")
-    fwd = nn.forward(net, x)
-    bwd = nn.backward(net, fwd, y)
-    params = net.parameters()
-    m = fwd.outputs.shape[1]
-    for i in net.preconditioned():
-        v, lam_bar = table.shared_for(i)
-        if v.shape[0] != m:
-            raise TableStateError(
-                f"layer {i}: shared coefficients cover batches of {v.shape[0]}, got {m}"
-            )
-        cap = fwd.captures[i]
-        if explicit_u:
-            d = precondition_explicit_u(cap, v, u_budget)
-        else:
-            d = precondition(cap, v)
-        _apply_update(params[f"layer{i}.weight"], d / lam_bar, eta, mods, f"layer{i}.weight")
-    for name, grad in bwd.bias_grads.items():
-        _apply_update(params[name], grad, eta, mods, name)
-    return bwd.loss
+    return preconditioned_step(net, x, y, eta, None, table, mods, explicit_u)

@@ -15,9 +15,7 @@ __all__ = [
     "NotSPDError",
     "as_matrix",
     "as_vector",
-    "matmul",
     "khatri_rao",
-    "hadamard",
     "cholesky",
     "cho_solve",
     "solve_spd",
@@ -62,13 +60,6 @@ def as_vector(a) -> np.ndarray:
     return out
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    return a @ b
-
-
 def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Column-wise Kronecker product.
 
@@ -80,13 +71,6 @@ def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     p, cols = a.shape
     q = b.shape[0]
     return (a[:, None, :] * b[None, :, :]).reshape(p * q, cols)
-
-
-def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entrywise product of two equal-shape matrices."""
-    if a.shape != b.shape:
-        raise ValueError(f"hadamard: shapes differ: {a.shape} and {b.shape}")
-    return a * b
 
 
 def cholesky(a: np.ndarray) -> np.ndarray:

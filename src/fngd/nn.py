@@ -342,18 +342,14 @@ def backward(net: Network, fwd: ForwardPass, targets) -> BackwardPass:
 
 
 def weight_gradients(net: Network, fwd: ForwardPass) -> dict[str, np.ndarray]:
-    """Batch-mean weight gradients (1/M) Z X^T assembled from the captures."""
+    """Batch-mean weight gradients (1/M) Z X^T assembled from the captures,
+    summed over patch positions; a dense capture has one position."""
     grads = {}
     for i in net.preconditioned():
-        cap = fwd.captures[i]
-        if cap.z is None:
+        z, x = fwd.captures[i].z, fwd.captures[i].x
+        if z is None:
             raise RuntimeError(f"layer {i} capture has no Z; run backward first")
-        if cap.kind == "dense":
-            m = cap.z.shape[1]
-            grads[f"layer{i}.weight"] = (cap.z @ cap.x.T) / m
-        else:
-            o, s, m = cap.z.shape
-            grads[f"layer{i}.weight"] = (
-                cap.z.reshape(o, s * m) @ cap.x.reshape(-1, s * m).T
-            ) / m
+        grads[f"layer{i}.weight"] = (
+            z.reshape(z.shape[0], -1) @ x.reshape(x.shape[0], -1).T
+        ) / z.shape[-1]
     return grads

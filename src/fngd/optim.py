@@ -1,5 +1,4 @@
-"""Baseline optimizers, the recompute-every-step natural gradient, and
-the stepwise learning-rate schedule.
+"""Baseline optimizers and the stepwise learning-rate schedule.
 
 All steps mutate the parameter arrays in place.  Gradients arrive as a
 dict keyed like Network.parameters(), so the same step functions drive
@@ -12,15 +11,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import core, nn
-
 __all__ = [
     "sgd_step",
     "MomentumState",
     "sgd_momentum_step",
     "AdamWState",
     "adamw_step",
-    "ngd_smw_step",
     "LrSchedule",
     "schedule_lr",
     "make_lr_schedule",
@@ -81,17 +77,6 @@ def adamw_step(state: AdamWState, params: dict[str, np.ndarray],
         mhat = m / (1 - state.beta1 ** t)
         vhat = v / (1 - state.beta2 ** t)
         p -= lr * mhat / (np.sqrt(vhat) + state.eps)
-
-
-def ngd_smw_step(net: nn.Network, x, y, eta: float, rule: core.DampingRule,
-                 mods: core.PostModifiers | None = None) -> float:
-    """Natural-gradient step that recomputes coefficients every call.
-
-    This is exactly the coefficient-phase step without a table, so for
-    equal seeds its first-epoch trajectory is bitwise identical to the
-    sharing optimizer's; it just never stops paying for the solve.
-    """
-    return core.preconditioned_step(net, x, y, eta, rule, table=None, mods=mods)
 
 
 @dataclass(frozen=True)

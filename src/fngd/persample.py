@@ -87,7 +87,7 @@ def gram_dense(capture: LayerCapture) -> GramStats:
     if capture.z is None:
         raise ValueError(f"layer {capture.layer} capture has no Z; run backward first")
     z, x = capture.z, capture.x
-    g = linalg.hadamard(z.T @ z, x.T @ x)
+    g = (z.T @ z) * (x.T @ x)
     return GramStats(capture.layer, g, g.mean(axis=1))
 
 

@@ -17,12 +17,14 @@ from pathlib import Path
 import numpy as np
 
 from . import core, data, nn, optim, persample
-from .config import PRECONDITIONED, ConfigError, ModelSpec, TrainConfig, check_u_budget
+from .config import (PRECONDITIONED, SHARING, ConfigError, ModelSpec, TrainConfig,
+                     check_u_budget)
 
 __all__ = [
     "METRICS_VERSION",
     "METRICS_COLUMNS",
     "TrainResult",
+    "TrainingError",
     "build_network",
     "load_datasets",
     "evaluate",
@@ -134,6 +136,10 @@ def _take_targets(targets: np.ndarray, idx: np.ndarray):
     return targets[idx] if targets.ndim == 1 else targets[:, idx]
 
 
+class TrainingError(RuntimeError):
+    """A training step failed; the message names its epoch and step."""
+
+
 class _Runner:
     """Binds one optimizer kind to its state for the epoch loop."""
 
@@ -147,7 +153,7 @@ class _Runner:
         self.state = None
         self.table = None
         self.mods = None
-        if self.kind in ("fngd", "fngd_explicit"):
+        if self.kind in SHARING:
             self.table = table if table is not None else core.CoefficientTable()
             if o.fngd_momentum or o.fngd_weight_decay:
                 self.mods = core.PostModifiers(o.fngd_momentum, o.fngd_weight_decay)
@@ -160,7 +166,7 @@ class _Runner:
                                           weight_decay=o.weight_decay)
 
     def step(self, x: np.ndarray, y, lr: float) -> float:
-        if self.kind in ("fngd", "fngd_explicit"):
+        if self.kind in SHARING:
             explicit = self.kind == "fngd_explicit"
             if not self.table.finalized:
                 return core.epoch_one_step(self.net, x, y, self.table, lr, self.rule,
@@ -168,7 +174,7 @@ class _Runner:
             return core.shared_step(self.net, x, y, self.table, lr,
                                     mods=self.mods, explicit_u=explicit)
         if self.kind == "ngd_smw":
-            return optim.ngd_smw_step(self.net, x, y, lr, self.rule)
+            return core.preconditioned_step(self.net, x, y, lr, self.rule)
         fwd = nn.forward(self.net, x)
         bwd = nn.backward(self.net, fwd, y)
         grads = nn.weight_gradients(self.net, fwd)
@@ -271,8 +277,13 @@ def _train_loop(cfg: TrainConfig, train_ds: data.Dataset,
         start = time.perf_counter()
         loss_sum = 0.0
         for idx in plan:
-            loss_sum += runner.step(train_ds.inputs[:, idx],
-                                    _take_targets(train_ds.targets, idx), lr)
+            try:
+                loss_sum += runner.step(train_ds.inputs[:, idx],
+                                        _take_targets(train_ds.targets, idx), lr)
+            except RuntimeError as exc:
+                raise TrainingError(
+                    f"epoch {epoch + 1}, step {steps_done + 1}: {exc}"
+                ) from exc
             steps_done += 1
         runner.end_epoch()
         wall_ms = (time.perf_counter() - start) * 1e3
@@ -309,7 +320,7 @@ def run_train(cfg: TrainConfig, save_coeffs=None, load_coeffs=None,
     A loaded coefficient table is checked against the network before any
     data is read or any output is written.
     """
-    if load_coeffs is not None and cfg.optim.kind not in ("fngd", "fngd_explicit"):
+    if load_coeffs is not None and cfg.optim.kind not in SHARING:
         raise ValueError(f"loaded coefficients only apply to fngd, not {cfg.optim.kind}")
     table = None
     if load_coeffs:
@@ -365,7 +376,7 @@ def run_bench(cfg: TrainConfig, log=None) -> Path:
     for kind in BENCH_KINDS:
         result = _train_loop(_with_kind(cfg, kind), train_ds, test_ds, writer=None)
         times = result.epoch_times_ms
-        if kind in ("fngd", "fngd_explicit"):
+        if kind in SHARING:
             phases = [("epoch1", [times[0]]), ("shared", times[1:])]
         else:
             phases = [("all", times)]

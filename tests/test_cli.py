@@ -5,6 +5,7 @@ capsys work; FNGD_OUTPUT_DIR keeps artifacts inside tmp_path.
 """
 
 import csv
+import re
 
 import pytest
 
@@ -140,6 +141,36 @@ def test_conv_over_u_budget_exits_2_before_any_output(tmp_path, out_dir, capsys)
     assert err.startswith("error: model.layer[0]: fngd")
     assert "75497472 bytes" in err
     assert not (out_dir / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("line", ["fixed_damping = -1.0", "lam_floor = 0"])
+def test_nonpositive_damping_exits_2_before_any_output(line, tmp_path, out_dir, capsys,
+                                                      monkeypatch):
+    def no_data(cfg):
+        raise AssertionError("data was read before the damping check")
+
+    monkeypatch.setattr(train, "load_datasets", no_data)
+    cfg = _write_cfg(tmp_path, CFG + line + "\n")
+    assert main(["train", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: train.{line.split()[0]}: must be positive")
+    assert not out_dir.exists()
+
+
+def test_failed_solve_names_epoch_and_step_and_exits_3(tmp_path, out_dir, capsys):
+    # a huge step with almost no damping drives the weights to overflow
+    # within a few steps, and the coefficient solve then fails
+    text = CFG.replace("n = 40", "n = 256").replace("features = 5", "features = 20")
+    text = text.replace("input = 5\nlayer = dense 5 4\nlayer = relu\nlayer = dense 4 2",
+                        "input = 20\nlayer = dense 20 32\nlayer = relu\nlayer = dense 32 2")
+    text = text.replace("lr = 0.5", "lr = 1e6\nfixed_damping = 1e-12")
+    text = text.replace("batch_size = 8", "batch_size = 32")
+    assert main(["train", "--config", str(_write_cfg(tmp_path, text))]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert re.fullmatch(r"error: epoch \d+, step \d+: coefficient solve failed "
+                        r"at layer \d+ \(pivot \d+\)", err[0])
 
 
 @pytest.mark.parametrize("command", ["bench", "ablate"])

@@ -138,6 +138,9 @@ def test_nobias_dense(tmp_path):
         (("seed = 1", "seed = 1\nalpha = -1"), r"train\.alpha: must be positive"),
         (("classes = 2", "classes = 1"), r"dataset\.classes: need at least 2"),
         (("kind = synthetic", "kind = parquet"), r"dataset\.kind: expected synthetic or idx"),
+        (("seed = 1", "seed = 1\nfixed_damping = -1"),
+         r"train\.fixed_damping: must be positive"),
+        (("seed = 1", "seed = 1\nlam_floor = 0"), r"train\.lam_floor: must be positive"),
     ],
 )
 def test_loader_errors_name_section_and_key(tmp_path, mangle, message):

@@ -476,17 +476,41 @@ def test_shared_step_rejects_batch_size_mismatch():
         core.shared_step(net, x[:, :3], t[:, :3], table, 0.1)
 
 
-def test_shared_step_matches_fresh_step_on_same_batch():
-    # with B=1 the finalized table holds exactly the one batch's (v, lam)
-    net, x, t = _toy_problem(22)
-    twin = _clone_net(net)
+def _fresh_and_shared_steps(net, x, t, rule):
+    """The same batch stepped with fresh coefficients and with a one-batch
+    table, which holds exactly that batch's (v, lam); returns both nets."""
+    fresh, shared = _clone_net(net), _clone_net(net)
     table = core.CoefficientTable()
-    core.epoch_one_step(net, x, t, table, 0.05, core.DampingRule())
+    core.epoch_one_step(fresh, x, t, table, 0.05, rule)
     table.finalize()
-    core.shared_step(twin, x, t, table, 0.05)
-    for name, p in net.parameters().items():
-        q = twin.parameters()[name]
-        assert np.abs(p - q).max() <= 1e-12 * max(1.0, np.abs(p).max()), name
+    core.shared_step(shared, x, t, table, 0.05)
+    return fresh, shared
+
+
+def test_shared_step_matches_fresh_step_on_same_batch():
+    # dense layers take the same weighted-input GEMM in both phases
+    net, x, t = _toy_problem(22)
+    fresh, shared = _fresh_and_shared_steps(net, x, t, core.DampingRule())
+    for name, p in fresh.parameters().items():
+        assert not np.array_equal(p, net.parameters()[name]), name
+        assert np.array_equal(p, shared.parameters()[name]), name
+
+
+def test_shared_step_matches_fresh_conv_step_on_same_batch(rel_err):
+    # a fresh conv step goes along the U its Gram built, a shared one
+    # through the weighted-input route: equal up to roundoff
+    rng = _rng(26)
+    conv1 = nn.Conv2d.create(2, 3, 3, "same", 5, 5, rng)
+    conv2 = nn.Conv2d.create(3, 2, 3, "valid", 5, 5, rng)
+    net = nn.Network([conv1, nn.Relu(), conv2, nn.Relu(),
+                      nn.Dense.create(conv2.flat_out, 3, rng)], "cross_entropy")
+    x = rng.standard_normal((50, 6))
+    t = rng.integers(0, 3, 6)
+    fresh, shared = _fresh_and_shared_steps(net, x, t, core.DampingRule(alpha=0.05))
+    for name, w in net.parameters().items():
+        moved = fresh.parameters()[name] - w
+        assert np.abs(moved).max() > 0.0, name
+        assert rel_err(shared.parameters()[name] - w, moved) <= 1e-12, name
 
 
 def test_shared_step_uniform_coefficients_is_sgd():

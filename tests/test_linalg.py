@@ -12,50 +12,6 @@ def _rng(seed):
     return np.random.Generator(np.random.PCG64(seed))
 
 
-# ---------------------------------------------------------------- matmul
-
-def test_matmul_identity():
-    b = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(linalg.matmul(np.eye(2), b), b)
-
-
-def test_matmul_dot_product():
-    got = linalg.matmul(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
-    assert got.shape == (1, 1)
-    assert got[0, 0] == 11.0
-
-
-def test_matmul_against_triple_loop():
-    rng = _rng(0)
-    a = rng.standard_normal((5, 3))
-    b = rng.standard_normal((3, 4))
-    want = np.zeros((5, 4))
-    for i in range(5):
-        for j in range(4):
-            for k in range(3):
-                want[i, j] += a[i, k] * b[k, j]
-    assert np.abs(linalg.matmul(a, b) - want).max() <= 1e-12
-
-
-def test_matmul_shape_error():
-    with pytest.raises(ValueError, match="incompatible shapes"):
-        linalg.matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-
-@settings(deadline=None, max_examples=30)
-@given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5),
-       st.integers(1, 5), st.integers(0, 10_000))
-def test_matmul_associative(p, q, r, s, seed):
-    rng = _rng(seed)
-    a = rng.standard_normal((p, q))
-    b = rng.standard_normal((q, r))
-    c = rng.standard_normal((r, s))
-    left = linalg.matmul(linalg.matmul(a, b), c)
-    right = linalg.matmul(a, linalg.matmul(b, c))
-    scale = max(np.abs(left).max(initial=0.0), 1.0)
-    assert np.abs(left - right).max() <= 1e-10 * scale
-
-
 # ------------------------------------------------------------ khatri_rao
 
 def test_khatri_rao_hand_expansion():
@@ -78,7 +34,7 @@ def test_khatri_rao_gram_identity():
     a = rng.standard_normal((4, 3))
     b = rng.standard_normal((4, 3))
     u = linalg.khatri_rao(a, b)
-    fast = linalg.hadamard(a.T @ a, b.T @ b)
+    fast = (a.T @ a) * (b.T @ b)
     scale = max(np.abs(u.T @ u).max(), 1.0)
     assert np.abs(u.T @ u - fast).max() <= 1e-12 * scale
 
@@ -96,29 +52,9 @@ def test_khatri_rao_gram_identity_property(p, q, m, seed):
     a = rng.standard_normal((p, m))
     b = rng.standard_normal((q, m))
     u = linalg.khatri_rao(a, b)
-    fast = linalg.hadamard(a.T @ a, b.T @ b)
+    fast = (a.T @ a) * (b.T @ b)
     scale = max(np.abs(u.T @ u).max(initial=0.0), 1.0)
     assert np.abs(u.T @ u - fast).max() <= 1e-12 * scale
-
-
-# -------------------------------------------------------------- hadamard
-
-def test_hadamard_identity_and_zero():
-    rng = _rng(3)
-    a = rng.standard_normal((3, 2))
-    assert np.array_equal(linalg.hadamard(a, np.ones_like(a)), a)
-    assert np.array_equal(linalg.hadamard(a, np.zeros_like(a)), np.zeros_like(a))
-
-
-def test_hadamard_hand_case():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.array([[2.0, 0.0], [0.0, 2.0]])
-    assert np.array_equal(linalg.hadamard(a, b), [[2.0, 0.0], [0.0, 8.0]])
-
-
-def test_hadamard_shape_error():
-    with pytest.raises(ValueError, match="shapes differ"):
-        linalg.hadamard(np.ones((2, 2)), np.ones((2, 3)))
 
 
 # --------------------------------------------------- cholesky / solve_spd

@@ -87,7 +87,7 @@ def test_ngd_first_epoch_is_bitwise_identical_to_coefficient_phase():
     rule = core.DampingRule()
     table = core.CoefficientTable()
     for x, t in batches:
-        optim.ngd_smw_step(net_a, x, t, 0.1, rule)
+        core.preconditioned_step(net_a, x, t, 0.1, rule)
         core.epoch_one_step(net_b, x, t, table, 0.1, rule)
     for name, p in net_a.parameters().items():
         assert np.array_equal(p, net_b.parameters()[name]), name
@@ -119,7 +119,7 @@ def test_ngd_solves_every_step_and_shared_step_never_solves(monkeypatch):
 
     calls["n"] = 0
     for x, t in batches:
-        optim.ngd_smw_step(net, x, t, 0.1, rule)
+        core.preconditioned_step(net, x, t, 0.1, rule)
     assert calls["n"] == layers * len(batches)
 
 
