@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import persample
-
 __all__ = [
     "ConfigError",
     "parse_config",
@@ -27,7 +25,6 @@ __all__ = [
     "DatasetSpec",
     "OptimSpec",
     "TrainConfig",
-    "check_u_budget",
     "load_train_config",
 ]
 
@@ -265,23 +262,6 @@ def _parse_dataset(sections) -> DatasetSpec:
     return spec
 
 
-def check_u_budget(model: ModelSpec, kind: str, batch_size: int) -> None:
-    """Refuse, before any data is read, a conv layer whose Gram needs an
-    explicit per-sample gradient matrix larger than the U budget."""
-    budget = persample.DEFAULT_U_BUDGET_BYTES
-    for i, spec in enumerate(model.layers):
-        if spec.kind != "conv":
-            continue
-        in_ch, out_ch, kernel = spec.dims
-        need = persample.u_conv_bytes(out_ch, in_ch * kernel * kernel, batch_size)
-        if need > budget:
-            raise ConfigError(
-                f"model.layer[{i}]: {kind} at train.batch_size {batch_size} needs "
-                f"{need} bytes for this conv layer's explicit per-sample gradient "
-                f"matrix; the budget is {budget}"
-            )
-
-
 def load_train_config(path, out_dir=None,
                       expect_loaded_coeffs: bool = False) -> TrainConfig:
     """Parse and validate a full training config.
@@ -337,8 +317,6 @@ def load_train_config(path, out_dir=None,
         raise ConfigError(
             f"train.batch_size: {kind} needs at least 2 samples per batch, got {batch_size}"
         )
-    if preconditioned and not expect_loaded_coeffs:
-        check_u_budget(model, kind, batch_size)
     if kind in SHARING and epochs < 2 and not expect_loaded_coeffs:
         raise ConfigError(
             f"train.epochs: {kind} needs at least 2 epochs (epoch one computes "

@@ -12,7 +12,9 @@ coefficient vector
 up to a 1/lambda factor that is folded into the learning rate.  For a
 dense layer U c equals Z diag(c) X^T, so preconditioning costs one
 weighted GEMM and U is never formed.  A conv layer's Gram is built from
-an explicit U, and its coefficient-phase step reuses that U for U c.
+an explicit U, in blocks of output channels under the U budget; U is
+kept only when it is one block, and then the coefficient-phase step
+reuses it for U c.
 
 Training runs in two phases.  During epoch one each batch solves for
 its own c and damping lambda while a table accumulates them; after the
@@ -111,8 +113,8 @@ def precondition(capture: nn.LayerCapture, c: np.ndarray,
                  u: np.ndarray | None = None) -> np.ndarray:
     """U c as a weight-shaped matrix.
 
-    Given u, the per-sample gradient matrix the Gram was built from, this
-    is one matrix-vector product.  Otherwise it is the weighted-input
+    Given u, the per-sample gradient matrix a one-block conv Gram was
+    built from, this is one matrix-vector product.  Otherwise it is the weighted-input
     route sum_s Z_s diag(c) X_s^T over patch positions s, one GEMM; a
     dense capture has a single position, where this is Z diag(c) X^T.
     """
@@ -232,18 +234,27 @@ class CoefficientTable:
         table = cls()
         for ln in lines[1:]:
             fields = ln.split(",")
-            if len(fields) < 4:
-                raise ValueError(f"{path}: malformed coefficient row {ln!r}")
-            layer, m = int(fields[0]), int(fields[1])
-            lam_bar = float(fields[2])
-            v = np.array([float(x) for x in fields[3:]])
+            try:
+                if len(fields) < 4:
+                    raise ValueError
+                layer, m = int(fields[0]), int(fields[1])
+                lam_bar = float(fields[2])
+                v = np.array([float(x) for x in fields[3:]])
+            except ValueError:
+                raise ValueError(f"{path}: malformed coefficient row {ln!r}") from None
+            if layer in table.shared:
+                raise ValueError(f"{path}: layer {layer} has more than one row")
             if v.shape[0] != m:
                 raise ValueError(
                     f"{path}: layer {layer} row promises {m} coefficients, "
                     f"holds {v.shape[0]}"
                 )
+            if not np.isfinite(lam_bar):
+                raise ValueError(f"{path}: layer {layer} has non-finite damping {lam_bar!r}")
             if lam_bar <= 0.0:
                 raise ValueError(f"{path}: layer {layer} has non-positive damping")
+            if not np.isfinite(v).all():
+                raise ValueError(f"{path}: layer {layer} has non-finite coefficients")
             table.shared[layer] = (v, lam_bar)
         if not table.shared:
             raise ValueError(f"{path}: coefficient table holds no layers")
@@ -287,9 +298,9 @@ def preconditioned_step(net: nn.Network, x, y, eta: float, rule: DampingRule | N
     layer; biases take the plain gradient at eta.
 
     Without a table, or with one still accumulating, each layer's
-    (c, lambda) comes from this batch's Gram and solve (conv layers then
-    step along the U their Gram built), and an accumulating table
-    records them.  With a finalized table each layer takes the shared
+    (c, lambda) comes from this batch's Gram and solve (a conv layer
+    whose Gram kept U, built in one block, then steps along it), and an
+    accumulating table records them.  With a finalized table each layer takes the shared
     (v_tilde, lambda_bar) instead: no Gram, no solve, and `rule` is not
     read.  Batch slot i reuses coefficient i whichever sample landed in
     that slot.

@@ -323,21 +323,16 @@ def backward(net: Network, fwd: ForwardPass, targets) -> BackwardPass:
         cap = fwd.captures[i]
         if layer.kind == "relu":
             d = d * cap.x
-        elif layer.kind == "dense":
-            cap.z = d
-            if layer.bias is not None:
-                bias_grads[f"layer{i}.bias"] = d.mean(axis=1)
-            if i:
-                d = layer.weight.T @ d
-        else:
-            m = d.shape[1]
-            z3 = d.reshape(layer.out_channels, layer.patch_count, m)
-            cap.z = z3
-            if layer.bias is not None:
-                bias_grads[f"layer{i}.bias"] = z3.sum(axis=1).mean(axis=1)
-            if i:
-                pg = layer.weight.T @ z3.reshape(layer.out_channels, -1)
-                d = _col2im(pg.reshape(cap.x.shape), layer)
+            continue
+        # A dense Z is a conv Z with one patch position: (out, M) is (out, 1, M).
+        o, m = layer.weight.shape[0], d.shape[1]
+        cap.z = d.reshape(o, layer.patch_count, m) if layer.kind == "conv" else d
+        if layer.bias is not None:
+            bias_grads[f"layer{i}.bias"] = d.reshape(o, -1, m).sum(axis=1).mean(axis=1)
+        if i:
+            d = layer.weight.T @ d.reshape(o, -1)
+            if layer.kind == "conv":
+                d = _col2im(d.reshape(cap.x.shape), layer)
     return BackwardPass(float(losses.mean()), bias_grads)
 
 

@@ -4,8 +4,9 @@ For a dense layer, sample m's weight gradient is the outer product
 z_m x_m^T, so the M x M Gram matrix of per-sample gradients factors
 entrywise: G = (Z^T Z) * (X^T X).  Conv layers sum one such product per
 patch position; there the explicit per-sample gradient matrix U (one
-flattened gradient per column) is built first, by one batched GEMM over
-the samples, and G = U^T U.  `gram` picks the route for a capture.
+flattened gradient per column) is built by one batched GEMM over the
+samples, in blocks of output channels whose rows U_k fit the U budget,
+and G = sum_k U_k^T U_k.  `gram` picks the route for a capture.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ __all__ = [
     "GramStats",
     "gram",
     "gram_dense",
-    "u_conv_bytes",
     "build_u_conv",
     "gram_conv",
     "per_sample_grad_dense",
@@ -43,8 +43,8 @@ class GramStats:
     """Gram matrix of one layer's per-sample gradients plus its column mean.
 
     mean_col is (1/M) G 1, which equals U^T g for the batch-mean
-    gradient g; u is the explicit per-sample gradient matrix when one
-    was materialized (conv path), else None.
+    gradient g; u is the explicit per-sample gradient matrix of a conv
+    layer whose U was built in one block, else None.
     """
 
     layer: int
@@ -91,35 +91,23 @@ def gram_dense(capture: LayerCapture) -> GramStats:
     return GramStats(capture.layer, g, g.mean(axis=1))
 
 
-def u_conv_bytes(out_channels: int, patch_rows: int, batch: int) -> int:
-    """Bytes of a conv layer's explicit U: out_channels * patch_rows rows
-    (patch_rows = in_channels * kernel^2) by batch float64 columns."""
-    return out_channels * patch_rows * batch * 8
-
-
-def build_u_conv(capture: LayerCapture,
-                 max_bytes: int = DEFAULT_U_BUDGET_BYTES) -> np.ndarray:
-    """Explicit per-sample gradient matrix for a conv layer.
+def build_u_conv(capture: LayerCapture, channels: slice = slice(None)) -> np.ndarray:
+    """Rows of a conv layer's explicit per-sample gradient matrix U for
+    the output channels in `channels`, all of them by default.
 
     Column m is the flattened weight gradient of sample m, summed over
     patch positions: Z_m X_m^T with Z_m (out, S) and X_m (in*k^2, S).
-    Refuses to allocate more than max_bytes.  U is returned sample-major
-    (its transpose is C-contiguous), the layout the batched product
-    writes and `gram_conv` reads without a copy.
+    U is returned sample-major (its transpose is C-contiguous), the
+    layout the batched product writes and `gram_conv` reads without a
+    copy.
     """
     if capture.kind != "conv":
         raise ValueError(f"expected a conv capture, got {capture.kind!r}")
     if capture.z is None:
         raise ValueError(f"layer {capture.layer} capture has no Z; run backward first")
-    z, x = capture.z, capture.x
+    z, x = capture.z[channels], capture.x
     o, s, m = z.shape
     ik2 = x.shape[0]
-    need = u_conv_bytes(o, ik2, m)
-    if need > max_bytes:
-        raise ValueError(
-            f"explicit per-sample gradient matrix needs {need} bytes "
-            f"({o * ik2} x {m}), budget is {max_bytes}"
-        )
     # Sample-major copies, one row at a time so that each row's (S, M)
     # block stays in cache, then one GEMM per sample over the patches.
     xm = np.empty((m, ik2, s))
@@ -145,10 +133,22 @@ def gram_conv(u: np.ndarray, layer: int = -1) -> GramStats:
 def gram(capture: LayerCapture,
          u_budget: int = DEFAULT_U_BUDGET_BYTES) -> GramStats:
     """Gram of one layer's per-sample gradients by the route its kind takes:
-    the Hadamard identity for dense layers, explicit U for conv layers."""
+    the Hadamard identity for dense layers, explicit U for conv layers.
+
+    A conv layer's U is built in blocks of as many output channels as fit
+    in u_budget bytes (at least one), and G sums the blocks' Grams.  The
+    stats keep U only when it is one block; otherwise U is never whole.
+    """
     if capture.kind == "dense":
         return gram_dense(capture)
-    return gram_conv(build_u_conv(capture, u_budget), layer=capture.layer)
+    width = max(1, u_budget // (capture.x.shape[0] * capture.x.shape[-1] * 8))
+    stats = gram_conv(build_u_conv(capture, slice(0, width)), layer=capture.layer)
+    if width >= capture.z.shape[0]:
+        return stats
+    g = stats.gram
+    for lo in range(width, capture.z.shape[0], width):
+        g += gram_conv(build_u_conv(capture, slice(lo, lo + width))).gram
+    return GramStats(capture.layer, g, g.mean(axis=1))
 
 
 def per_sample_grad_dense(capture: LayerCapture, m: int) -> np.ndarray:

@@ -17,8 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import core, data, nn, optim, persample
-from .config import (PRECONDITIONED, SHARING, ConfigError, ModelSpec, TrainConfig,
-                     check_u_budget)
+from .config import PRECONDITIONED, SHARING, ConfigError, ModelSpec, TrainConfig
 
 __all__ = [
     "METRICS_VERSION",
@@ -352,14 +351,6 @@ def _with_kind(cfg: TrainConfig, kind: str, **optim_fields) -> TrainConfig:
     return replace(cfg, optim=replace(cfg.optim, kind=kind, **optim_fields))
 
 
-def _check_kinds_fit(cfg: TrainConfig, kinds) -> None:
-    """Refuse, before any data is read, a model that some preconditioned
-    kind among `kinds` could not train within the conv U budget."""
-    for kind in kinds:
-        if kind in PRECONDITIONED:
-            check_u_budget(cfg.model, kind, cfg.batch_size)
-
-
 def run_bench(cfg: TrainConfig, log=None) -> Path:
     """Per-epoch wall time for sgd, fngd (both phases), recompute ngd,
     and the explicit-U route, all on identical data and init.
@@ -369,7 +360,6 @@ def run_bench(cfg: TrainConfig, log=None) -> Path:
     """
     if cfg.epochs < 4:
         raise ValueError(f"bench needs at least 4 epochs for stable medians, got {cfg.epochs}")
-    _check_kinds_fit(cfg, BENCH_KINDS)
     train_ds, test_ds = load_datasets(cfg)
     rows = []
     sgd_median = None
@@ -413,7 +403,6 @@ def run_ablate(cfg: TrainConfig, log=None) -> Path:
     accuracy, median per-epoch time, and the time ratio against the
     full method.
     """
-    _check_kinds_fit(cfg, [kind for _, kind, _ in ABLATE_VARIANTS])
     train_ds, test_ds = load_datasets(cfg)
     measured = []
     for name, kind, fields in ABLATE_VARIANTS:

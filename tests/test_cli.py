@@ -5,11 +5,12 @@ capsys work; FNGD_OUTPUT_DIR keeps artifacts inside tmp_path.
 """
 
 import csv
+import math
 import re
 
 import pytest
 
-from fngd import linalg, train
+from fngd import linalg, persample, train
 from fngd.cli import main
 from fngd.train import METRICS_COLUMNS, METRICS_VERSION
 
@@ -131,16 +132,31 @@ def test_config_error_exits_2(tmp_path, out_dir, capsys):
     assert err.startswith("error: train.lr")
 
 
-def test_conv_over_u_budget_exits_2_before_any_output(tmp_path, out_dir, capsys):
+def test_conv_layer_over_one_u_block_trains(tmp_path, out_dir, monkeypatch):
+    # 128 * 64 * 3^2 rows by 128 samples of float64 is 75497472 bytes,
+    # over the 64 MiB U budget, so the Gram is built in two channel blocks
     text = CFG.replace(
         "input = 5\nlayer = dense 5 4\nlayer = relu\nlayer = dense 4 2",
         "input = 64 8 8\nlayer = conv 64 128 3 same\nlayer = relu\nlayer = dense 8192 2",
     ).replace("batch_size = 8", "batch_size = 128")
-    assert main(["train", "--config", str(_write_cfg(tmp_path, text))]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: model.layer[0]: fngd")
-    assert "75497472 bytes" in err
-    assert not (out_dir / "metrics.csv").exists()
+    text = text.replace("n = 40", "n = 256").replace("features = 5", "features = 4096")
+    blocks = []
+    real = persample.build_u_conv
+
+    def recording(capture, channels=slice(None)):
+        blocks.append((channels.start, channels.stop))
+        return real(capture, channels)
+
+    monkeypatch.setattr(persample, "build_u_conv", recording)
+    assert main(["train", "--config", str(_write_cfg(tmp_path, text))]) == 0
+    # two epoch-one steps, each over blocks of 113 channels (the most
+    # whose rows fit the budget) and then the last 15
+    assert blocks == [(0, 113), (113, 226)] * 2
+    rows = _read_metrics(out_dir / "metrics.csv")
+    assert [(r["epoch"], r["split"]) for r in rows] == [
+        ("1", "train"), ("1", "test"), ("2", "train"), ("2", "test")]
+    for r in rows:
+        assert math.isfinite(float(r["loss"]))
 
 
 @pytest.mark.parametrize("line", ["fixed_damping = -1.0", "lam_floor = 0"])
@@ -173,30 +189,6 @@ def test_failed_solve_names_epoch_and_step_and_exits_3(tmp_path, out_dir, capsys
                         r"at layer \d+ \(pivot \d+\)", err[0])
 
 
-@pytest.mark.parametrize("command", ["bench", "ablate"])
-def test_bench_and_ablate_check_u_budget_before_any_training(command, tmp_path, out_dir,
-                                                             capsys, monkeypatch):
-    # the config's own optimizer builds no Gram; the fngd kinds that
-    # bench and ablate train as well must still be checked up front
-    text = CFG.replace(
-        "input = 5\nlayer = dense 5 4\nlayer = relu\nlayer = dense 4 2",
-        "input = 64 8 8\nlayer = conv 64 128 3 same\nlayer = relu\nlayer = dense 8192 2",
-    ).replace("batch_size = 8", "batch_size = 128").replace("optimizer = fngd",
-                                                            "optimizer = sgd")
-    text = text.replace("epochs = 2", "epochs = 4")
-
-    def no_data(cfg):
-        raise AssertionError("data was read before the budget check")
-
-    monkeypatch.setattr(train, "load_datasets", no_data)
-    assert main([command, "--config", str(_write_cfg(tmp_path, text))]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: model.layer[0]: fngd")
-    assert "75497472 bytes" in captured.err
-    assert not out_dir.exists()
-
-
 @pytest.mark.parametrize("change, message", [
     (("batch_size = 8", "batch_size = 4"), "layer 0 has 8 coefficients, train.batch_size is 4"),
     (("layer = dense 4 2", "layer = dense 4 3\nlayer = relu\nlayer = dense 3 2"),
@@ -222,6 +214,27 @@ def test_mismatched_loaded_coeffs_exit_2_before_any_output(change, message, tmp_
     assert captured.out == ""
     assert captured.err.startswith(f"error: {table_path}: ")
     assert message in captured.err
+    assert not second.exists()
+
+
+def test_non_finite_loaded_coeffs_exit_2_before_any_output(tmp_path, monkeypatch, capsys):
+    table_path = tmp_path / "coeffs.csv"
+    monkeypatch.setenv("FNGD_OUTPUT_DIR", str(tmp_path / "first"))
+    assert main(["train", "--config", str(_write_cfg(tmp_path, CFG)),
+                 "--save-coeffs", str(table_path)]) == 0
+    capsys.readouterr()
+    head, row, *rest = table_path.read_text().splitlines()
+    fields = row.split(",")
+    fields[2] = "nan"
+    table_path.write_text("\n".join([head, ",".join(fields), *rest]) + "\n")
+
+    second = tmp_path / "second"
+    monkeypatch.setenv("FNGD_OUTPUT_DIR", str(second))
+    cfg = _write_cfg(tmp_path, CFG, name="resume.cfg")
+    assert main(["train", "--config", str(cfg), "--load-coeffs", str(table_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {table_path}: layer 0 has non-finite damping nan\n"
     assert not second.exists()
 
 

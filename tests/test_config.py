@@ -218,21 +218,3 @@ def test_idx_dataset_requires_existing_files(tmp_path):
         lopsided = text.replace(f"labels = {labs}",
                                 f"labels = {labs}\ntest_images = {imgs}")
         load_train_config(_write(tmp_path, lopsided, name="c.cfg"))
-
-
-def test_conv_over_u_budget_fails_at_load(tmp_path):
-    # 128 * 64 * 3^2 rows by 128 samples of float64 is 75497472 bytes.
-    text = BASE.replace(
-        "input = 5\nlayer = dense 5 4\nlayer = relu\nlayer = dense 4 2",
-        "input = 64 8 8\nlayer = conv 64 128 3 same\nlayer = relu\nlayer = dense 8192 2",
-    ).replace("batch_size = 10", "batch_size = 128")
-    for kind in ("fngd", "fngd_explicit", "ngd_smw"):
-        path = _write(tmp_path, text.replace("optimizer = fngd", f"optimizer = {kind}"))
-        with pytest.raises(ConfigError, match=rf"model\.layer\[0\]: {kind} .* needs "
-                                              r"75497472 bytes .* budget is 67108864"):
-            load_train_config(path)
-    path = _write(tmp_path, text)
-    assert load_train_config(path, expect_loaded_coeffs=True).batch_size == 128
-    for ok in (text.replace("optimizer = fngd", "optimizer = sgd"),
-               text.replace("batch_size = 128", "batch_size = 64")):
-        load_train_config(_write(tmp_path, ok))

@@ -233,6 +233,42 @@ def test_epoch_one_conv_step_through_u_matches_weighted_input(monkeypatch, rel_e
         assert np.array_equal(tables[0].shared_for(i)[0], tables[1].shared_for(i)[0])
 
 
+def test_epoch_one_step_on_blocked_conv_layer_matches_explicit_u(monkeypatch, rel_err):
+    """A conv layer whose U takes more than one channel block keeps no U,
+    so its epoch-one step goes the weighted-input route; it equals the
+    explicit-U step with the same coefficients."""
+    rng = _rng(98)
+    conv1 = nn.Conv2d.create(2, 5, 3, "same", 6, 6, rng)
+    conv2 = nn.Conv2d.create(5, 4, 3, "valid", 6, 6, rng)
+    net = nn.Network([conv1, nn.Relu(), conv2, nn.Relu(),
+                      nn.Dense.create(conv2.flat_out, 3, rng)], "cross_entropy")
+    x = rng.standard_normal((72, 8))
+    y = rng.integers(0, 3, 8)
+    rule = core.DampingRule(alpha=0.05)
+    real_gram, real_precondition = persample.gram, core.precondition
+    routes = []
+
+    def two_channel_blocks(cap):
+        return real_gram(cap, u_budget=2 * cap.x.shape[0] * cap.x.shape[-1] * 8)
+
+    def recording(cap, c, u=None):
+        routes.append((cap.kind, u is not None))
+        return real_precondition(cap, c, u=u)
+
+    monkeypatch.setattr(persample, "gram", two_channel_blocks)
+    monkeypatch.setattr(core, "precondition", recording)
+    blocked, explicit = _clone_net(net), _clone_net(net)
+    tables = core.CoefficientTable(), core.CoefficientTable()
+    core.epoch_one_step(blocked, x, y, tables[0], 0.1, rule)
+    core.epoch_one_step(explicit, x, y, tables[1], 0.1, rule, explicit_u=True)
+
+    assert routes == [("conv", False), ("conv", False), ("dense", False)]
+    for i in net.preconditioned():
+        moved = explicit.layers[i].weight - net.layers[i].weight
+        assert np.abs(moved).max() > 0.0
+        assert rel_err(blocked.layers[i].weight - net.layers[i].weight, moved) <= 1e-10
+
+
 def test_precondition_explicit_u_matches_weighted_route():
     rng = _rng(10)
     dense = _dense_capture(100, out_dim=3, in_dim=5, m=8)
@@ -437,6 +473,23 @@ def test_table_load_rejects_malformed_files(tmp_path):
     p.write_text("fngd-coefficients,1\n")
     with pytest.raises(ValueError, match="no layers"):
         core.CoefficientTable.load(p)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("0,2,nan,0.5,0.5", "layer 0 has non-finite damping nan"),
+    ("0,2,inf,0.5,0.5", "layer 0 has non-finite damping inf"),
+    ("0,2,1.0,0.5,inf", "layer 0 has non-finite coefficients"),
+    ("0,2,1.0,nan,0.5", "layer 0 has non-finite coefficients"),
+    ("0,2,1.0,0.5,0.5\n0,2,2.0,0.5,0.5", "layer 0 has more than one row"),
+    ("x,2,1.0,0.5,0.5", "malformed coefficient row 'x,2,1.0,0.5,0.5'"),
+], ids=["nan-damping", "inf-damping", "inf-coefficient", "nan-coefficient",
+        "repeated-layer", "bad-layer-index"])
+def test_table_load_rejects_outside_values(row, message, tmp_path):
+    p = tmp_path / "bad.csv"
+    p.write_text(f"fngd-coefficients,1\n{row}\n")
+    with pytest.raises(ValueError) as err:
+        core.CoefficientTable.load(p)
+    assert str(err.value) == f"{p}: {message}"
 
 
 # ---------------------------------------------------- epoch one vs shared

@@ -4,6 +4,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fngd import linalg, nn, persample
 
@@ -186,14 +188,53 @@ def test_gram_dispatches_on_capture_kind():
     assert got.layer == 2
     assert np.array_equal(got.gram, want.gram)
     assert np.array_equal(got.u, want.u)
-    with pytest.raises(ValueError, match="budget"):
-        persample.gram(conv, u_budget=100)
 
 
-def test_u_conv_memory_budget():
-    cap = _conv_capture(11, o=2, c=1, k=3, h=4, w=4, m=3)
-    with pytest.raises(ValueError, match="budget"):
-        persample.build_u_conv(cap, max_bytes=100)
+def _block_budget(cap, width):
+    """The U budget that fits exactly `width` output channels' rows."""
+    return width * cap.x.shape[0] * cap.x.shape[-1] * 8
+
+
+@pytest.mark.parametrize("width", [1, 2, 5, 8])
+@pytest.mark.parametrize("padding", ["same", "valid"])
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_blocked_gram_matches_one_block(k, padding, width, rel_err):
+    # 5 output channels: blocks of 1, of 2 (a non-divisor), and of all
+    cap = _conv_capture(30 + k, o=5, c=2, k=k, h=6, w=5, m=7, padding=padding)
+    whole = persample.gram(cap)
+    assert whole.u is not None
+    got = persample.gram(cap, u_budget=_block_budget(cap, width))
+    assert rel_err(got.gram, whole.gram) <= 1e-12
+    assert np.array_equal(got.gram, got.gram.T)
+    assert (got.u is None) == (width < 5)
+    if got.u is not None:
+        assert np.array_equal(got.gram, whole.gram)
+    # one byte short of a block of `width` leaves blocks of width - 1
+    if width > 1:
+        short = persample.gram(cap, u_budget=_block_budget(cap, width) - 1)
+        assert rel_err(short.gram, whole.gram) <= 1e-12
+        assert (short.u is None) == (width - 1 < 5)
+
+
+def test_u_conv_channel_range_is_rows_of_u(rel_err):
+    cap = _conv_capture(11, o=4, c=2, k=3, h=4, w=4, m=3)
+    u = persample.build_u_conv(cap)
+    rows = cap.x.shape[0]
+    assert rel_err(persample.build_u_conv(cap, slice(1, 3)), u[rows : 3 * rows]) <= 1e-12
+    assert rel_err(persample.build_u_conv(cap, slice(3, 9)), u[3 * rows :]) <= 1e-12
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(1, 6), st.integers(1, 3), st.sampled_from([1, 3, 5]),
+       st.sampled_from(["same", "valid"]), st.integers(1, 9), st.integers(1, 6),
+       st.integers(0, 10_000))
+def test_blocked_gram_equals_explicit_u_gram(o, c, k, padding, m, width, seed):
+    cap = _conv_capture(seed, o=o, c=c, k=k, h=5, w=6, m=m, padding=padding)
+    u = np.einsum("osm,ism->oim", cap.z, cap.x).reshape(o * cap.x.shape[0], m)
+    want = u.T @ u
+    got = persample.gram(cap, u_budget=_block_budget(cap, width)).gram
+    scale = max(float(np.abs(want).max()), 1e-30)
+    assert float(np.abs(got - want).max()) <= 1e-12 * scale
 
 
 def test_u_conv_requires_backward_and_kind():
