@@ -6,10 +6,11 @@ loss gradients columnwise and g their mean.  Rewriting through the
 matrix inversion identity turns the step into U c for a length-M
 coefficient vector
 
-    c = (1/M) (1 - (lambda I + (1/M) G)^{-1} gbar),   G = U^T U,
-    gbar = (1/M) G 1,
+    c = (lambda/M) (lambda I + (1/M) G)^{-1} 1,   G = U^T U,
 
-up to a 1/lambda factor that is folded into the learning rate.  For a
+up to a 1/lambda factor that is folded into the learning rate.  (The
+same c is (1/M) (1 - (lambda I + G/M)^{-1} G 1/M); solving against ones
+avoids that form's cancellation of two numbers near 1 at small lambda.)  For a
 dense layer U c equals Z diag(c) X^T, so preconditioning costs one
 weighted GEMM and U is never formed.  A conv layer's Gram is built from
 an explicit U, in blocks of output channels under the U budget; U is
@@ -93,8 +94,7 @@ def coefficients(stats: persample.GramStats, lam: float) -> np.ndarray:
         raise ValueError(f"damping must be positive, got {lam}")
     m = stats.batch
     a = stats.gram / m + lam * np.eye(m)
-    shifted = linalg.solve_spd(a, stats.mean_col)
-    return (np.full(m, 1.0) - shifted) / m
+    return (lam / m) * linalg.solve_spd(a, np.ones(m))
 
 
 def _checked_capture(capture: nn.LayerCapture, c: np.ndarray):

@@ -40,16 +40,14 @@ _PSD_TOL = 1e-10
 
 @dataclass
 class GramStats:
-    """Gram matrix of one layer's per-sample gradients plus its column mean.
+    """Gram matrix of one layer's per-sample gradients.
 
-    mean_col is (1/M) G 1, which equals U^T g for the batch-mean
-    gradient g; u is the explicit per-sample gradient matrix of a conv
-    layer whose U was built in one block, else None.
+    u is the explicit per-sample gradient matrix of a conv layer whose U
+    was built in one block, else None.
     """
 
     layer: int
     gram: np.ndarray
-    mean_col: np.ndarray
     u: np.ndarray | None = None
 
     @property
@@ -57,7 +55,7 @@ class GramStats:
         return self.gram.shape[0]
 
     def validate(self) -> None:
-        """Hard checks: symmetry, PSD up to roundoff, mean-column identity."""
+        """Hard checks: symmetry and PSD up to roundoff."""
         g = self.gram
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValueError(f"gram must be square, got {g.shape}")
@@ -71,9 +69,6 @@ class GramStats:
                 f"gram has eigenvalue {smallest:.3e} below the PSD tolerance; "
                 f"suspect the backward pass"
             )
-        want = g @ np.full(g.shape[0], 1.0 / g.shape[0])
-        if float(np.abs(self.mean_col - want).max(initial=0.0)) > 1e-12 * max(1.0, fro):
-            raise ValueError("mean_col does not equal (1/M) G 1")
 
 
 def gram_dense(capture: LayerCapture) -> GramStats:
@@ -87,8 +82,7 @@ def gram_dense(capture: LayerCapture) -> GramStats:
     if capture.z is None:
         raise ValueError(f"layer {capture.layer} capture has no Z; run backward first")
     z, x = capture.z, capture.x
-    g = (z.T @ z) * (x.T @ x)
-    return GramStats(capture.layer, g, g.mean(axis=1))
+    return GramStats(capture.layer, (z.T @ z) * (x.T @ x))
 
 
 def build_u_conv(capture: LayerCapture, channels: slice = slice(None)) -> np.ndarray:
@@ -120,14 +114,13 @@ def build_u_conv(capture: LayerCapture, channels: slice = slice(None)) -> np.nda
 
 
 def gram_conv(u: np.ndarray, layer: int = -1) -> GramStats:
-    """Gram and column mean from an explicit per-sample gradient matrix.
+    """Gram from an explicit per-sample gradient matrix.
 
     The checks run on U^T, which is C-contiguous for the sample-major U
     of `build_u_conv`, so that U is not copied.
     """
     ut = linalg.as_matrix(np.transpose(u))
-    g = ut @ ut.T
-    return GramStats(layer, g, g.mean(axis=1), u=ut.T)
+    return GramStats(layer, ut @ ut.T, u=ut.T)
 
 
 def gram(capture: LayerCapture,
@@ -148,7 +141,7 @@ def gram(capture: LayerCapture,
     g = stats.gram
     for lo in range(width, capture.z.shape[0], width):
         g += gram_conv(build_u_conv(capture, slice(lo, lo + width))).gram
-    return GramStats(capture.layer, g, g.mean(axis=1))
+    return GramStats(capture.layer, g)
 
 
 def per_sample_grad_dense(capture: LayerCapture, m: int) -> np.ndarray:

@@ -221,7 +221,7 @@ def smw_identity_check(n: int, m: int, lam: float, seed: int) -> float:
 def coefficient_equivalence_check(n: int, m: int, lam: float, seed: int) -> float:
     """Error of the coefficient route (1/lam) U c against direct inversion.
 
-    This exercises the production code path: Gram from U, column mean,
+    This exercises the production code path: Gram from U,
     coefficients(), then the weighted sum, compared to solving the
     N x N damped system for the batch-mean gradient.
     """
