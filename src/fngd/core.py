@@ -8,9 +8,9 @@ coefficient vector
 
     c = (lambda/M) (lambda I + (1/M) G)^{-1} 1,   G = U^T U,
 
-up to a 1/lambda factor that is folded into the learning rate.  (The
-same c is (1/M) (1 - (lambda I + G/M)^{-1} G 1/M); solving against ones
-avoids that form's cancellation of two numbers near 1 at small lambda.)  For a
+up to a 1/lambda factor that is folded into the learning rate.  The
+same c is (1/M) (1 - (lambda I + G/M)^{-1} G 1/M), but that form
+subtracts two numbers near 1 and loses digits as lambda shrinks.  For a
 dense layer U c equals Z diag(c) X^T, so preconditioning costs one
 weighted GEMM and U is never formed.  A conv layer's Gram is built from
 an explicit U, in blocks of output channels under the U budget; U is
@@ -114,9 +114,10 @@ def precondition(capture: nn.LayerCapture, c: np.ndarray,
     """U c as a weight-shaped matrix.
 
     Given u, the per-sample gradient matrix a one-block conv Gram was
-    built from, this is one matrix-vector product.  Otherwise it is the weighted-input
-    route sum_s Z_s diag(c) X_s^T over patch positions s, one GEMM; a
-    dense capture has a single position, where this is Z diag(c) X^T.
+    built from, this is one matrix-vector product.  Otherwise it is the
+    weighted-input route sum_s Z_s diag(c) X_s^T over patch positions s,
+    one GEMM; a dense capture has a single position, where this is
+    Z diag(c) X^T.
     """
     z, x = _checked_capture(capture, c)
     o, i = z.shape[0], x.shape[0]
@@ -234,14 +235,15 @@ class CoefficientTable:
         table = cls()
         for ln in lines[1:]:
             fields = ln.split(",")
+            malformed = ValueError(f"{path}: malformed coefficient row {ln!r}")
+            if len(fields) < 4:
+                raise malformed
             try:
-                if len(fields) < 4:
-                    raise ValueError
                 layer, m = int(fields[0]), int(fields[1])
                 lam_bar = float(fields[2])
                 v = np.array([float(x) for x in fields[3:]])
             except ValueError:
-                raise ValueError(f"{path}: malformed coefficient row {ln!r}") from None
+                raise malformed from None
             if layer in table.shared:
                 raise ValueError(f"{path}: layer {layer} has more than one row")
             if v.shape[0] != m:
@@ -300,9 +302,9 @@ def preconditioned_step(net: nn.Network, x, y, eta: float, rule: DampingRule | N
     Without a table, or with one still accumulating, each layer's
     (c, lambda) comes from this batch's Gram and solve (a conv layer
     whose Gram kept U, built in one block, then steps along it), and an
-    accumulating table records them.  With a finalized table each layer takes the shared
-    (v_tilde, lambda_bar) instead: no Gram, no solve, and `rule` is not
-    read.  Batch slot i reuses coefficient i whichever sample landed in
+    accumulating table records them.  With a finalized table each layer
+    takes the shared (v_tilde, lambda_bar) instead: no Gram, no solve,
+    and `rule` is not read.  Batch slot i reuses coefficient i whichever sample landed in
     that slot.
     """
     fwd = nn.forward(net, x)

@@ -139,6 +139,7 @@ def gram(capture: LayerCapture,
     if width >= capture.z.shape[0]:
         return stats
     g = stats.gram
+    del stats  # so that the first block's U is freed before the next is built
     for lo in range(width, capture.z.shape[0], width):
         g += gram_conv(build_u_conv(capture, slice(lo, lo + width))).gram
     return GramStats(capture.layer, g)
