@@ -8,12 +8,13 @@ Grammar, in full:
 * repeating a key appends, so list-valued keys (``layer``) just repeat.
 
 Values are plain strings until the typed loader casts them; errors out
-of the loader always name ``section.key``.
+of the loader always name ``section.key``, and the loader refuses any
+key it does not read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 __all__ = [
@@ -92,7 +93,6 @@ class DatasetSpec:
     labels: str | None = None
     test_images: str | None = None
     test_labels: str | None = None
-    limit: int | None = None
 
 
 @dataclass(frozen=True)
@@ -107,8 +107,6 @@ class OptimSpec:
     alpha: float = 0.005
     lam_floor: float = 1e-12
     fixed_damping: float | None = None
-    fngd_momentum: float = 0.0
-    fngd_weight_decay: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -123,7 +121,6 @@ class TrainConfig:
     milestones: tuple[float, ...] = (0.5, 0.75)
     metrics_path: Path = Path("out/metrics.csv")
     coeffs_path: Path | None = None
-    gram_dump_dir: Path | None = None
     bench_path: Path = Path("out/bench.csv")
     ablate_path: Path = Path("out/ablate.csv")
 
@@ -132,7 +129,9 @@ _REQUIRED = object()
 
 
 def _one(sections, section: str, key: str, default=_REQUIRED, cast=str):
-    values = sections.get(section, {}).get(key)
+    """Take one key out of `sections`, so that what is left unread at
+    the end is refused as unknown."""
+    values = sections.get(section, {}).pop(key, None)
     if values is None:
         if default is _REQUIRED:
             raise ConfigError(f"{section}.{key}: required key is missing")
@@ -143,15 +142,6 @@ def _one(sections, section: str, key: str, default=_REQUIRED, cast=str):
         return cast(values[0])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{section}.{key}: bad value {values[0]!r} ({exc})") from exc
-
-
-def _boolean(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
 
 
 def _parse_layer(raw: str, index: int) -> LayerSpec:
@@ -214,7 +204,7 @@ def _parse_model(sections) -> ModelSpec:
             f"model.input: expected '<features>' or '<channels> <height> <width>', "
             f"got {raw_input!r}"
         )
-    raw_layers = model.get("layer")
+    raw_layers = model.pop("layer", None)
     if not raw_layers:
         raise ConfigError("model.layer: need at least one layer")
     layers = tuple(_parse_layer(raw, i) for i, raw in enumerate(raw_layers))
@@ -238,8 +228,6 @@ def _parse_dataset(sections) -> DatasetSpec:
         labels=_one(sections, "dataset", "labels", default=None),
         test_images=_one(sections, "dataset", "test_images", default=None),
         test_labels=_one(sections, "dataset", "test_labels", default=None),
-        limit=_one(sections, "dataset", "limit", default=None,
-                   cast=lambda s: int(s)),
     )
     if kind == "synthetic":
         if spec.n < 1:
@@ -269,7 +257,8 @@ def load_train_config(path, out_dir=None,
     out_dir, when given, redirects every output path into that
     directory (file names kept); expect_loaded_coeffs relaxes the
     two-epoch minimum since a preloaded table skips the coefficient
-    phase.
+    phase.  A key that no part of the loader reads is refused, so that a
+    misspelled key or section cannot silently fall back to a default.
     """
     sections = parse_config_file(path)
     dataset = _parse_dataset(sections)
@@ -289,9 +278,6 @@ def load_train_config(path, out_dir=None,
         alpha=_one(sections, "train", "alpha", default=0.005, cast=float),
         lam_floor=_one(sections, "train", "lam_floor", default=1e-12, cast=float),
         fixed_damping=_one(sections, "train", "fixed_damping", default=None, cast=float),
-        fngd_momentum=_one(sections, "train", "fngd_momentum", default=0.0, cast=float),
-        fngd_weight_decay=_one(sections, "train", "fngd_weight_decay", default=0.0,
-                               cast=float),
     )
     if optim.lr <= 0.0:
         raise ConfigError(f"train.lr: must be positive, got {optim.lr}")
@@ -339,8 +325,9 @@ def load_train_config(path, out_dir=None,
     ablate_path = Path(_one(sections, "output", "ablate", default="out/ablate.csv"))
     raw_coeffs = _one(sections, "output", "coeffs", default=None)
     coeffs_path = Path(raw_coeffs) if raw_coeffs else None
-    raw_dump = _one(sections, "output", "gram_dump", default=None)
-    gram_dump_dir = Path(raw_dump) if raw_dump else None
+    unknown = [f"{section}.{key}" for section, keys in sections.items() for key in keys]
+    if unknown:
+        raise ConfigError(f"{unknown[0]}: unknown key")
     if out_dir is not None:
         out_dir = Path(out_dir)
         metrics_path = out_dir / metrics_path.name
@@ -348,8 +335,6 @@ def load_train_config(path, out_dir=None,
         ablate_path = out_dir / ablate_path.name
         if coeffs_path is not None:
             coeffs_path = out_dir / coeffs_path.name
-        if gram_dump_dir is not None:
-            gram_dump_dir = out_dir / gram_dump_dir.name
 
     return TrainConfig(
         dataset=dataset,
@@ -362,7 +347,6 @@ def load_train_config(path, out_dir=None,
         milestones=milestones,
         metrics_path=metrics_path,
         coeffs_path=coeffs_path,
-        gram_dump_dir=gram_dump_dir,
         bench_path=bench_path,
         ablate_path=ablate_path,
     )

@@ -46,7 +46,6 @@ __all__ = [
     "coefficients",
     "precondition",
     "precondition_explicit_u",
-    "PostModifiers",
     "preconditioned_step",
     "epoch_one_step",
     "shared_step",
@@ -264,37 +263,14 @@ class CoefficientTable:
         return table
 
 
-@dataclass
-class PostModifiers:
-    """Optional momentum / weight decay applied to the final update
-    direction of every parameter; both default to off."""
-
-    momentum: float = 0.0
-    weight_decay: float = 0.0
-
-    def __post_init__(self):
-        self.buffers: dict[str, np.ndarray] = {}
-
-
-def _apply_update(param: np.ndarray, direction: np.ndarray, lr: float,
-                  mods: PostModifiers | None, name: str) -> None:
-    if mods is None or (mods.momentum == 0.0 and mods.weight_decay == 0.0):
-        param -= lr * direction
-        return
-    d = direction
-    if mods.weight_decay:
-        d = d + mods.weight_decay * param
-    if mods.momentum:
-        buf = mods.buffers.get(name)
-        buf = d if buf is None else mods.momentum * buf + d
-        mods.buffers[name] = buf
-        d = buf
-    param -= lr * d
+def _apply_update(param: np.ndarray, direction: np.ndarray, lr: float) -> None:
+    """The single parameter update, param -= lr * direction, in place; a
+    function of its own so that it can be traced."""
+    param -= lr * direction
 
 
 def preconditioned_step(net: nn.Network, x, y, eta: float, rule: DampingRule | None,
                         table: CoefficientTable | None = None,
-                        mods: PostModifiers | None = None,
                         explicit_u: bool = False) -> float:
     """The one step body: w -= (eta/lambda) U c for every preconditioned
     layer; biases take the plain gradient at eta.
@@ -337,25 +313,23 @@ def preconditioned_step(net: nn.Network, x, y, eta: float, rule: DampingRule | N
             d = precondition_explicit_u(cap, c)
         else:
             d = precondition(cap, c, u=u)
-        _apply_update(params[f"layer{i}.weight"], d / lam, eta, mods, f"layer{i}.weight")
+        _apply_update(params[f"layer{i}.weight"], d / lam, eta)
     for name, grad in bwd.bias_grads.items():
-        _apply_update(params[name], grad, eta, mods, name)
+        _apply_update(params[name], grad, eta)
     return bwd.loss
 
 
 def epoch_one_step(net: nn.Network, x, y, table: CoefficientTable, eta: float,
-                   rule: DampingRule, mods: PostModifiers | None = None,
-                   explicit_u: bool = False) -> float:
+                   rule: DampingRule, explicit_u: bool = False) -> float:
     """Coefficient-phase step: fresh coefficients that feed the table."""
     if table.finalized:
         raise TableStateError("coefficient table is already finalized")
-    return preconditioned_step(net, x, y, eta, rule, table, mods, explicit_u)
+    return preconditioned_step(net, x, y, eta, rule, table, explicit_u)
 
 
 def shared_step(net: nn.Network, x, y, table: CoefficientTable, eta: float,
-                mods: PostModifiers | None = None,
                 explicit_u: bool = False) -> float:
     """Later-epoch step: the table's shared coefficients, no Gram, no solve."""
     if not table.finalized:
         raise TableStateError("coefficient table is not finalized")
-    return preconditioned_step(net, x, y, eta, None, table, mods, explicit_u)
+    return preconditioned_step(net, x, y, eta, None, table, explicit_u)

@@ -24,8 +24,6 @@ __all__ = [
     "write_idx_images",
     "write_idx_labels",
     "synthetic_classification",
-    "BatchPlan",
-    "make_batch_plan",
     "batches",
     "split",
 ]
@@ -192,37 +190,17 @@ def synthetic_classification(n: int, d: int, k: int, seed: int) -> Dataset:
     return Dataset(inputs[:, perm], targets[perm], num_classes=k)
 
 
-@dataclass(frozen=True)
-class BatchPlan:
-    """One epoch's shuffled sample order, cut into fixed-size batches.
-
-    The trailing partial batch is always dropped so every batch has
-    exactly batch_size samples.
+def batches(n: int, batch_size: int, epoch_seed: int) -> list[np.ndarray]:
+    """Index arrays for one epoch: a PCG64(epoch_seed) permutation of the
+    n samples cut into batches of batch_size.  The trailing partial batch
+    is dropped, so every batch holds exactly batch_size samples.
     """
-
-    epoch_seed: int
-    batch_size: int
-    order: np.ndarray
-    drop_last: bool = True
-
-    def batches(self):
-        full = self.order.shape[0] // self.batch_size
-        for b in range(full):
-            yield self.order[b * self.batch_size : (b + 1) * self.batch_size]
-
-
-def make_batch_plan(n: int, batch_size: int, epoch_seed: int) -> BatchPlan:
     if batch_size < 1:
         raise ValueError(f"batch size must be positive, got {batch_size}")
     if batch_size > n:
         raise ValueError(f"batch size {batch_size} exceeds dataset size {n}")
-    rng = np.random.Generator(np.random.PCG64(epoch_seed))
-    return BatchPlan(epoch_seed, batch_size, rng.permutation(n))
-
-
-def batches(n: int, batch_size: int, epoch_seed: int) -> list[np.ndarray]:
-    """Index arrays for one epoch; trailing partial batch dropped."""
-    return list(make_batch_plan(n, batch_size, epoch_seed).batches())
+    order = np.random.Generator(np.random.PCG64(epoch_seed)).permutation(n)
+    return [order[b * batch_size:(b + 1) * batch_size] for b in range(n // batch_size)]
 
 
 def split(ds: Dataset, n_first: int) -> tuple[Dataset, Dataset]:

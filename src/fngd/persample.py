@@ -11,9 +11,7 @@ and G = sum_k U_k^T U_k.  `gram` picks the route for a capture.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -28,7 +26,6 @@ __all__ = [
     "build_u_conv",
     "gram_conv",
     "per_sample_grad_dense",
-    "write_gram_csv",
 ]
 
 DEFAULT_U_BUDGET_BYTES = 64 * 1024 * 1024
@@ -46,7 +43,6 @@ class GramStats:
     was built in one block, else None.
     """
 
-    layer: int
     gram: np.ndarray
     u: np.ndarray | None = None
 
@@ -82,7 +78,7 @@ def gram_dense(capture: LayerCapture) -> GramStats:
     if capture.z is None:
         raise ValueError(f"layer {capture.layer} capture has no Z; run backward first")
     z, x = capture.z, capture.x
-    return GramStats(capture.layer, (z.T @ z) * (x.T @ x))
+    return GramStats((z.T @ z) * (x.T @ x))
 
 
 def build_u_conv(capture: LayerCapture, channels: slice = slice(None)) -> np.ndarray:
@@ -113,14 +109,14 @@ def build_u_conv(capture: LayerCapture, channels: slice = slice(None)) -> np.nda
     return np.matmul(zm, xm.transpose(0, 2, 1)).reshape(m, o * ik2).T
 
 
-def gram_conv(u: np.ndarray, layer: int = -1) -> GramStats:
+def gram_conv(u: np.ndarray) -> GramStats:
     """Gram from an explicit per-sample gradient matrix.
 
     The checks run on U^T, which is C-contiguous for the sample-major U
     of `build_u_conv`, so that U is not copied.
     """
     ut = linalg.as_matrix(np.transpose(u))
-    return GramStats(layer, ut @ ut.T, u=ut.T)
+    return GramStats(ut @ ut.T, u=ut.T)
 
 
 def gram(capture: LayerCapture,
@@ -135,14 +131,14 @@ def gram(capture: LayerCapture,
     if capture.kind == "dense":
         return gram_dense(capture)
     width = max(1, u_budget // (capture.x.shape[0] * capture.x.shape[-1] * 8))
-    stats = gram_conv(build_u_conv(capture, slice(0, width)), layer=capture.layer)
+    stats = gram_conv(build_u_conv(capture, slice(0, width)))
     if width >= capture.z.shape[0]:
         return stats
     g = stats.gram
     del stats  # so that the first block's U is freed before the next is built
     for lo in range(width, capture.z.shape[0], width):
         g += gram_conv(build_u_conv(capture, slice(lo, lo + width))).gram
-    return GramStats(capture.layer, g)
+    return GramStats(g)
 
 
 def per_sample_grad_dense(capture: LayerCapture, m: int) -> np.ndarray:
@@ -155,14 +151,3 @@ def per_sample_grad_dense(capture: LayerCapture, m: int) -> np.ndarray:
     if not 0 <= m < batch:
         raise IndexError(f"sample index {m} out of range for batch of {batch}")
     return np.outer(capture.z[:, m], capture.x[:, m])
-
-
-def write_gram_csv(stats: GramStats, path) -> None:
-    """Dump the raw Gram matrix for offline inspection of its structure."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["layer", stats.layer, "batch", stats.batch])
-        for row in stats.gram:
-            writer.writerow([repr(float(v)) for v in row])

@@ -61,8 +61,8 @@ def _rel_err(got: np.ndarray, want: np.ndarray) -> float:
 class LinearProblem:
     """Constant-Jacobian layered model.
 
-    blocks[l] is J_l with shape (n_l, M); the stacked J is their
-    vertical concatenation and v(w) = v0 + J^T (w - w0).  The full Gram
+    blocks[l] is J_l with shape (n_l, M); J is their vertical
+    concatenation and v(w) = v0 + J^T (w - w0).  The full Gram
     used by the eigenvalue bounds is block-diagonal with blocks
     J_l^T J_l.
     """
@@ -93,9 +93,6 @@ class LinearProblem:
     @property
     def batch(self) -> int:
         return self.blocks[0].shape[1]
-
-    def stacked(self) -> np.ndarray:
-        return np.vstack(self.blocks)
 
     def gram(self) -> np.ndarray:
         """Block-diagonal ML x ML matrix with blocks J_l^T J_l."""

@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import core, data, nn, optim, persample
-from .config import PRECONDITIONED, SHARING, ConfigError, ModelSpec, TrainConfig
+from . import core, data, nn, optim
+from .config import SHARING, ConfigError, ModelSpec, TrainConfig
 
 __all__ = [
     "METRICS_VERSION",
@@ -101,8 +101,6 @@ def load_datasets(cfg: TrainConfig) -> tuple[data.Dataset, data.Dataset | None]:
         return data.split(full, ds.n)
     inputs = data.load_idx(ds.images)
     labels = data.load_idx(ds.labels)
-    if ds.limit is not None:
-        inputs, labels = inputs[:, : ds.limit], labels[: ds.limit]
     train = data.Dataset(inputs, labels, num_classes=ds.classes)
     test = None
     if ds.test_images:
@@ -151,11 +149,8 @@ class _Runner:
         self.rule = core.DampingRule(alpha=o.alpha, floor=o.lam_floor, fixed=o.fixed_damping)
         self.state = None
         self.table = None
-        self.mods = None
         if self.kind in SHARING:
             self.table = table if table is not None else core.CoefficientTable()
-            if o.fngd_momentum or o.fngd_weight_decay:
-                self.mods = core.PostModifiers(o.fngd_momentum, o.fngd_weight_decay)
         elif table is not None:
             raise ValueError(f"a coefficient table only applies to fngd, not {self.kind}")
         if self.kind == "sgd_momentum":
@@ -169,9 +164,8 @@ class _Runner:
             explicit = self.kind == "fngd_explicit"
             if not self.table.finalized:
                 return core.epoch_one_step(self.net, x, y, self.table, lr, self.rule,
-                                           mods=self.mods, explicit_u=explicit)
-            return core.shared_step(self.net, x, y, self.table, lr,
-                                    mods=self.mods, explicit_u=explicit)
+                                           explicit_u=explicit)
+            return core.shared_step(self.net, x, y, self.table, lr, explicit_u=explicit)
         if self.kind == "ngd_smw":
             return core.preconditioned_step(self.net, x, y, lr, self.rule)
         fwd = nn.forward(self.net, x)
@@ -222,14 +216,6 @@ class TrainResult:
     table: core.CoefficientTable | None
 
 
-def _dump_grams(net: nn.Network, x: np.ndarray, y, out_dir: Path) -> None:
-    fwd = nn.forward(net, x)
-    nn.backward(net, fwd, y)
-    for i in net.preconditioned():
-        persample.write_gram_csv(persample.gram(fwd.captures[i]),
-                                 out_dir / f"gram_layer{i}.csv")
-
-
 def _check_loaded_table(table: core.CoefficientTable, net: nn.Network,
                         batch_size: int, path) -> None:
     """Refuse a loaded coefficient table that does not fit the network:
@@ -262,10 +248,6 @@ def _train_loop(cfg: TrainConfig, train_ds: data.Dataset,
         )
     runner = _Runner(cfg, net, table)
     sched = optim.make_lr_schedule(cfg.optim.lr, cfg.epochs, cfg.milestones, cfg.lr_decay)
-    if cfg.gram_dump_dir is not None and runner.kind in PRECONDITIONED:
-        first = data.batches(train_ds.n, cfg.batch_size, cfg.seed)[0]
-        _dump_grams(net, train_ds.inputs[:, first],
-                    _take_targets(train_ds.targets, first), cfg.gram_dump_dir)
 
     times: list[float] = []
     steps_done = 0
@@ -277,12 +259,15 @@ def _train_loop(cfg: TrainConfig, train_ds: data.Dataset,
         loss_sum = 0.0
         for idx in plan:
             try:
-                loss_sum += runner.step(train_ds.inputs[:, idx],
-                                        _take_targets(train_ds.targets, idx), lr)
+                loss = runner.step(train_ds.inputs[:, idx],
+                                   _take_targets(train_ds.targets, idx), lr)
+                if not np.isfinite(loss):
+                    raise RuntimeError(f"loss is {loss}")
             except RuntimeError as exc:
                 raise TrainingError(
                     f"epoch {epoch + 1}, step {steps_done + 1}: {exc}"
                 ) from exc
+            loss_sum += loss
             steps_done += 1
         runner.end_epoch()
         wall_ms = (time.perf_counter() - start) * 1e3

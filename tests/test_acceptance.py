@@ -40,7 +40,7 @@ def test_criterion_01_smw_equivalence():
         lam = float(rng.uniform(1e-3, 1.0))
         u = rng.standard_normal((n, m))
         gram = u.T @ u
-        c = core.coefficients(persample.GramStats(0, gram), lam)
+        c = core.coefficients(persample.GramStats(gram), lam)
         via_c = (u @ c) / lam
         g_bar = u.mean(axis=1)
         direct = np.linalg.solve(lam * np.eye(n) + (u @ u.T) / m, g_bar)

@@ -7,6 +7,7 @@ capsys work; FNGD_OUTPUT_DIR keeps artifacts inside tmp_path.
 import csv
 import math
 import re
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,7 @@ from fngd import linalg, persample, train
 from fngd.cli import main
 from fngd.train import METRICS_COLUMNS, METRICS_VERSION
 
+ROOT = Path(__file__).resolve().parents[1]
 
 CFG = """\
 [dataset]
@@ -172,6 +174,29 @@ def test_nonpositive_damping_exits_2_before_any_output(line, tmp_path, out_dir, 
     assert captured.out == ""
     assert captured.err.startswith(f"error: train.{line.split()[0]}: must be positive")
     assert not out_dir.exists()
+
+
+def test_unknown_key_exits_2_before_any_output(tmp_path, out_dir, capsys, monkeypatch):
+    def no_data(cfg):
+        raise AssertionError("data was read before the key check")
+
+    monkeypatch.setattr(train, "load_datasets", no_data)
+    cfg = _write_cfg(tmp_path, CFG.replace("lr = 0.5", "lr = 0.5\nalpah = 0.5"))
+    assert main(["train", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: train.alpah: unknown key\n"
+    assert not out_dir.exists()
+
+
+def test_non_finite_loss_names_epoch_and_step_and_exits_3(tmp_path, out_dir, capsys):
+    # a step of 1e30 overflows the weights within the first epoch, and
+    # the next forward pass meets inf - inf in the softmax
+    text = (ROOT / "configs" / "mlp_synth.cfg").read_text()
+    text = text.replace("optimizer = fngd", "optimizer = sgd").replace("lr = 0.1", "lr = 1e30")
+    assert main(["train", "--config", str(_write_cfg(tmp_path, text))]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: epoch 1, step 9: loss is nan\n"
 
 
 def test_failed_solve_names_epoch_and_step_and_exits_3(tmp_path, out_dir, capsys):

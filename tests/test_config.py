@@ -1,11 +1,15 @@
 """Config grammar and the typed loader."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from fngd import data
 from fngd.config import ConfigError, load_train_config, parse_config
 
+ROOT = Path(__file__).resolve().parents[1]
 
 BASE = """\
 [dataset]
@@ -148,6 +152,43 @@ def test_loader_errors_name_section_and_key(tmp_path, mangle, message):
     assert old in BASE
     with pytest.raises(ConfigError, match=message):
         load_train_config(_write(tmp_path, BASE.replace(old, new)))
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        "train.fngd_momentum",
+        "train.fngd_weight_decay",
+        "output.gram_dump",
+        "dataset.limit",
+        "train.alpah",
+        "ouput.metrics",
+    ],
+)
+def test_unknown_keys_are_refused(tmp_path, key):
+    section, name = key.split(".")
+    text = BASE + f"\n[{section}]\n{name} = 1\n"
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: unknown key$"):
+        load_train_config(_write(tmp_path, text))
+
+
+def test_readme_config_example_loads(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    cfg = load_train_config(_write(tmp_path, block))
+    assert cfg.dataset.kind == "synthetic"
+    assert cfg.model.loss == "cross_entropy"
+    assert cfg.optim.kind == "fngd"
+    assert cfg.optim.alpha == 0.5
+    assert cfg.milestones == (0.5, 0.75)
+    assert str(cfg.coeffs_path) == "out/coeffs.csv"
+
+
+def test_shipped_configs_load():
+    paths = sorted((ROOT / "configs").glob("*.cfg"))
+    assert paths
+    for path in paths:
+        load_train_config(path)
 
 
 def test_loader_model_errors(tmp_path):

@@ -188,9 +188,9 @@ def test_batches_form_a_partial_permutation(n, batch_size, seed):
 
 def test_batch_plan_validation():
     with pytest.raises(ValueError, match="positive"):
-        data.make_batch_plan(10, 0, 0)
+        data.batches(10, 0, 0)
     with pytest.raises(ValueError, match="exceeds dataset size"):
-        data.make_batch_plan(3, 4, 0)
+        data.batches(3, 4, 0)
 
 
 # ----------------------------------------------------------------- split

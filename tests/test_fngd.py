@@ -625,28 +625,3 @@ def test_explicit_u_step_matches_weighted_step():
     for name, p in net.parameters().items():
         q = twin.parameters()[name]
         assert np.abs(p - q).max() <= 1e-12 * max(1.0, np.abs(p).max()), name
-
-
-# ---------------------------------------------------------- PostModifiers
-
-def test_post_modifiers_momentum_and_decay_recurrence():
-    w = np.array([1.0, -2.0])
-    mods = core.PostModifiers(momentum=0.9, weight_decay=0.1)
-    lr = 0.5
-    # hand recurrence: d_k = g + 0.1 w_k, buf_k = 0.9 buf_{k-1} + d_k
-    want = w.copy()
-    buf = np.zeros(2)
-    got = w.copy()
-    g = np.array([0.3, 0.7])
-    for k in range(3):
-        core._apply_update(got, g, lr, mods, "p")
-        d = g + 0.1 * want
-        buf = d if k == 0 else 0.9 * buf + d
-        want = want - lr * buf
-        assert np.abs(got - want).max() <= 1e-14
-
-
-def test_post_modifiers_default_off_is_plain_step():
-    w = np.array([1.0])
-    core._apply_update(w, np.array([0.5]), 0.1, core.PostModifiers(), "p")
-    assert w[0] == 0.95
