@@ -214,22 +214,31 @@ def _parse_model(sections) -> ModelSpec:
     return ModelSpec(shape, layers, loss)
 
 
+# The dataset keys each kind reads.  A key that only the other kind reads
+# is refused by name, so it cannot look as if it had been applied.
+DATASET_KEYS = {
+    "synthetic": ("n", "features", "classes", "test_n"),
+    "idx": ("images", "labels", "test_images", "test_labels", "classes"),
+}
+
+
 def _parse_dataset(sections) -> DatasetSpec:
     kind = _one(sections, "dataset", "kind", default="synthetic")
-    if kind not in ("synthetic", "idx"):
+    if kind not in DATASET_KEYS:
         raise ConfigError(f"dataset.kind: expected synthetic or idx, got {kind!r}")
-    spec = DatasetSpec(
-        kind=kind,
-        n=_one(sections, "dataset", "n", default=2000, cast=int),
-        features=_one(sections, "dataset", "features", default=20, cast=int),
-        classes=_one(sections, "dataset", "classes", default=2, cast=int),
-        test_n=_one(sections, "dataset", "test_n", default=400, cast=int),
-        images=_one(sections, "dataset", "images", default=None),
-        labels=_one(sections, "dataset", "labels", default=None),
-        test_images=_one(sections, "dataset", "test_images", default=None),
-        test_labels=_one(sections, "dataset", "test_labels", default=None),
-    )
+    read = DATASET_KEYS[kind]
+    for key in sections.get("dataset", {}):
+        if key not in read and any(key in keys for keys in DATASET_KEYS.values()):
+            raise ConfigError(f"dataset.{key}: not read for {kind} datasets")
+    classes = _one(sections, "dataset", "classes", default=2, cast=int)
     if kind == "synthetic":
+        spec = DatasetSpec(
+            kind=kind,
+            n=_one(sections, "dataset", "n", default=2000, cast=int),
+            features=_one(sections, "dataset", "features", default=20, cast=int),
+            classes=classes,
+            test_n=_one(sections, "dataset", "test_n", default=400, cast=int),
+        )
         if spec.n < 1:
             raise ConfigError(f"dataset.n: must be positive, got {spec.n}")
         if spec.classes < 2:
@@ -237,6 +246,14 @@ def _parse_dataset(sections) -> DatasetSpec:
         if spec.test_n < 0:
             raise ConfigError(f"dataset.test_n: must be non-negative, got {spec.test_n}")
     else:
+        spec = DatasetSpec(
+            kind=kind,
+            classes=classes,
+            images=_one(sections, "dataset", "images", default=None),
+            labels=_one(sections, "dataset", "labels", default=None),
+            test_images=_one(sections, "dataset", "test_images", default=None),
+            test_labels=_one(sections, "dataset", "test_labels", default=None),
+        )
         if not spec.images:
             raise ConfigError("dataset.images: required for idx datasets")
         if not spec.labels:

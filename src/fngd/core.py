@@ -271,7 +271,7 @@ def _apply_update(param: np.ndarray, direction: np.ndarray, lr: float) -> None:
 
 def preconditioned_step(net: nn.Network, x, y, eta: float, rule: DampingRule | None,
                         table: CoefficientTable | None = None,
-                        explicit_u: bool = False) -> float:
+                        explicit_u: bool = False) -> nn.BackwardPass:
     """The one step body: w -= (eta/lambda) U c for every preconditioned
     layer; biases take the plain gradient at eta.
 
@@ -281,7 +281,8 @@ def preconditioned_step(net: nn.Network, x, y, eta: float, rule: DampingRule | N
     accumulating table records them.  With a finalized table each layer
     takes the shared (v_tilde, lambda_bar) instead: no Gram, no solve,
     and `rule` is not read.  Batch slot i reuses coefficient i whichever sample landed in
-    that slot.
+    that slot.  Returns the step's backward pass, whose loss and correct
+    count come from the forward pass at the weights before the update.
     """
     fwd = nn.forward(net, x)
     bwd = nn.backward(net, fwd, y)
@@ -316,11 +317,11 @@ def preconditioned_step(net: nn.Network, x, y, eta: float, rule: DampingRule | N
         _apply_update(params[f"layer{i}.weight"], d / lam, eta)
     for name, grad in bwd.bias_grads.items():
         _apply_update(params[name], grad, eta)
-    return bwd.loss
+    return bwd
 
 
 def epoch_one_step(net: nn.Network, x, y, table: CoefficientTable, eta: float,
-                   rule: DampingRule, explicit_u: bool = False) -> float:
+                   rule: DampingRule, explicit_u: bool = False) -> nn.BackwardPass:
     """Coefficient-phase step: fresh coefficients that feed the table."""
     if table.finalized:
         raise TableStateError("coefficient table is already finalized")
@@ -328,7 +329,7 @@ def epoch_one_step(net: nn.Network, x, y, table: CoefficientTable, eta: float,
 
 
 def shared_step(net: nn.Network, x, y, table: CoefficientTable, eta: float,
-                explicit_u: bool = False) -> float:
+                explicit_u: bool = False) -> nn.BackwardPass:
     """Later-epoch step: the table's shared coefficients, no Gram, no solve."""
     if not table.finalized:
         raise TableStateError("coefficient table is not finalized")

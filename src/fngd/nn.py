@@ -211,8 +211,13 @@ class ForwardPass:
 
 @dataclass
 class BackwardPass:
+    """Batch-mean loss, bias gradients, and for cross-entropy the number
+    of samples whose largest output is their label (None for squared
+    error)."""
+
     loss: float
     bias_grads: dict[str, np.ndarray]
+    correct: int | None
 
 
 def _im2col(flat: np.ndarray, layer: Conv2d) -> np.ndarray:
@@ -310,7 +315,8 @@ def loss_value(kind: str, outputs, targets) -> float:
 
 
 def backward(net: Network, fwd: ForwardPass, targets) -> BackwardPass:
-    """Fill per-sample Z into the captures; return loss and bias gradients.
+    """Fill per-sample Z into the captures; return loss, bias gradients
+    and the count of correct predictions.
 
     Weight gradients are deliberately not formed here: consumers build
     either the batch mean (weight_gradients) or a weighted sum from the
@@ -333,7 +339,10 @@ def backward(net: Network, fwd: ForwardPass, targets) -> BackwardPass:
             d = layer.weight.T @ d.reshape(o, -1)
             if layer.kind == "conv":
                 d = _col2im(d.reshape(cap.x.shape), layer)
-    return BackwardPass(float(losses.mean()), bias_grads)
+    correct = None
+    if net.loss == "cross_entropy":
+        correct = int((fwd.outputs.argmax(axis=0) == targets).sum())
+    return BackwardPass(float(losses.mean()), bias_grads, correct)
 
 
 def weight_gradients(net: Network, fwd: ForwardPass) -> dict[str, np.ndarray]:

@@ -1,10 +1,14 @@
 """Training, evaluation, benchmarking, and the ablation driver.
 
-Metrics land in a versioned CSV (schema fngd-metrics-v1): one train row
-and, when a test split exists, one test row per epoch.  Every column
-except wall_ms is deterministic for a fixed config, seed, and numpy
-build; wall_ms is wall-clock and marked non-deterministic in the
-header.
+Metrics land in a versioned CSV (schema fngd-metrics-v2): one train row
+and, when a test split exists, one test row per epoch.  A train row's
+loss and accuracy are both running means over that epoch's steps, each
+taken from the step's own forward pass at the weights before its
+update; a test row evaluates the test split at the epoch's end.  The
+training split is evaluated once, after the last epoch, for the final
+train accuracy.  Every column except wall_ms is deterministic for a
+fixed config, seed, and numpy build; wall_ms is wall-clock and marked
+non-deterministic in the header.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ __all__ = [
     "run_ablate",
 ]
 
-METRICS_VERSION = "fngd-metrics-v1"
+METRICS_VERSION = "fngd-metrics-v2"
 METRICS_COLUMNS = ("epoch", "step", "split", "loss", "accuracy", "wall_ms", "optimizer")
 
 BENCH_VERSION = "fngd-bench-v1"
@@ -159,7 +163,7 @@ class _Runner:
             self.state = optim.AdamWState(beta1=o.beta1, beta2=o.beta2, eps=o.eps,
                                           weight_decay=o.weight_decay)
 
-    def step(self, x: np.ndarray, y, lr: float) -> float:
+    def step(self, x: np.ndarray, y, lr: float) -> nn.BackwardPass:
         if self.kind in SHARING:
             explicit = self.kind == "fngd_explicit"
             if not self.table.finalized:
@@ -179,7 +183,7 @@ class _Runner:
             optim.sgd_momentum_step(self.state, params, grads, lr)
         else:
             optim.adamw_step(self.state, params, grads, lr)
-        return bwd.loss
+        return bwd
 
     def end_epoch(self) -> None:
         if self.table is not None and not self.table.finalized:
@@ -257,27 +261,30 @@ def _train_loop(cfg: TrainConfig, train_ds: data.Dataset,
         plan = data.batches(train_ds.n, cfg.batch_size, cfg.seed + epoch)
         start = time.perf_counter()
         loss_sum = 0.0
+        correct = 0 if train_ds.is_classification else None
         for idx in plan:
             try:
-                loss = runner.step(train_ds.inputs[:, idx],
-                                   _take_targets(train_ds.targets, idx), lr)
-                if not np.isfinite(loss):
-                    raise RuntimeError(f"loss is {loss}")
+                # A diverging step overflows; the loss check below reports it.
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    bwd = runner.step(train_ds.inputs[:, idx],
+                                      _take_targets(train_ds.targets, idx), lr)
+                if not np.isfinite(bwd.loss):
+                    raise RuntimeError(f"loss is {bwd.loss}")
             except RuntimeError as exc:
                 raise TrainingError(
                     f"epoch {epoch + 1}, step {steps_done + 1}: {exc}"
                 ) from exc
-            loss_sum += loss
+            loss_sum += bwd.loss
+            if correct is not None:
+                correct += bwd.correct
             steps_done += 1
         runner.end_epoch()
         wall_ms = (time.perf_counter() - start) * 1e3
         times.append(wall_ms)
 
         mean_loss = loss_sum / max(len(plan), 1)
-        _, train_acc = evaluate(net, train_ds, cfg.batch_size)
+        train_acc = None if correct is None else correct / max(len(plan) * cfg.batch_size, 1)
         final["train_loss"] = mean_loss
-        if train_acc is not None:
-            final["train_accuracy"] = train_acc
         if writer is not None:
             writer.row(epoch + 1, steps_done, "train", mean_loss, train_acc, wall_ms)
         line = f"epoch {epoch + 1}/{cfg.epochs} loss={mean_loss:.6f}"
@@ -294,6 +301,9 @@ def _train_loop(cfg: TrainConfig, train_ds: data.Dataset,
                 line += f" test_acc={test_acc:.4f}"
         if log is not None:
             log(line + f" ({wall_ms:.1f} ms)")
+    _, train_acc = evaluate(net, train_ds, cfg.batch_size)
+    if train_acc is not None:
+        final["train_accuracy"] = train_acc
     return TrainResult(None, final, times, net, runner.table)
 
 

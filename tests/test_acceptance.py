@@ -312,7 +312,7 @@ def test_criterion_09_degeneracy_suite():
     ident = nn.Network([nn.Dense(np.eye(4), None)], loss="squared_error")
     x = rng.standard_normal((4, 6))
     before = ident.layers[0].weight.copy()
-    loss = core.preconditioned_step(ident, x, x.copy(), 0.7, DampingRule())
+    loss = core.preconditioned_step(ident, x, x.copy(), 0.7, DampingRule()).loss
     zero_step = loss == 0.0 and np.array_equal(ident.layers[0].weight, before)
 
     dt = time.perf_counter() - t0

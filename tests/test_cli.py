@@ -1,17 +1,22 @@
 """End-to-end runs through the command-line entry point.
 
 Everything goes through main(argv) in process so monkeypatching and
-capsys work; FNGD_OUTPUT_DIR keeps artifacts inside tmp_path.
+capsys work, except one run in a child process that checks stderr as a
+user sees it; FNGD_OUTPUT_DIR keeps artifacts inside tmp_path.
 """
 
 import csv
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fngd import linalg, persample, train
+from fngd import data, linalg, persample, train
 from fngd.cli import main
 from fngd.train import METRICS_COLUMNS, METRICS_VERSION
 
@@ -189,6 +194,29 @@ def test_unknown_key_exits_2_before_any_output(tmp_path, out_dir, capsys, monkey
     assert not out_dir.exists()
 
 
+def test_idx_dataset_with_synthetic_keys_exits_2_before_any_output(tmp_path, out_dir,
+                                                                  capsys, monkeypatch):
+    imgs, labs = tmp_path / "images.idx", tmp_path / "labels.idx"
+    rng = np.random.Generator(np.random.PCG64(0))
+    data.write_idx_images(imgs, rng.integers(0, 255, (64, 2, 2)).astype(np.uint8))
+    data.write_idx_labels(labs, rng.integers(0, 2, 64).astype(np.uint8))
+    text = CFG.replace(
+        "kind = synthetic\nn = 40\nfeatures = 5\nclasses = 2\ntest_n = 16",
+        f"kind = idx\nimages = {imgs}\nlabels = {labs}\nclasses = 2\n"
+        f"n = 16\nfeatures = 3\ntest_n = 7",
+    ).replace("input = 5", "input = 4").replace("dense 5 4", "dense 4 4")
+
+    def no_data(cfg):
+        raise AssertionError("data was read before the dataset key check")
+
+    monkeypatch.setattr(train, "load_datasets", no_data)
+    assert main(["train", "--config", str(_write_cfg(tmp_path, text))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: dataset.n: not read for idx datasets\n"
+    assert not out_dir.exists()
+
+
 def test_non_finite_loss_names_epoch_and_step_and_exits_3(tmp_path, out_dir, capsys):
     # a step of 1e30 overflows the weights within the first epoch, and
     # the next forward pass meets inf - inf in the softmax
@@ -197,6 +225,22 @@ def test_non_finite_loss_names_epoch_and_step_and_exits_3(tmp_path, out_dir, cap
     assert main(["train", "--config", str(_write_cfg(tmp_path, text))]) == 3
     err = capsys.readouterr().err
     assert err == "error: epoch 1, step 9: loss is nan\n"
+
+
+def test_diverging_run_prints_one_error_line_and_no_warnings(tmp_path):
+    # pytest diverts numpy's RuntimeWarnings away from capsys, so only a
+    # separate process shows what a user sees on stderr
+    text = (ROOT / "configs" / "mlp_synth.cfg").read_text()
+    text = text.replace("optimizer = fngd", "optimizer = sgd").replace("lr = 0.1", "lr = 1e30")
+    cfg = _write_cfg(tmp_path, text)
+    env = dict(os.environ, FNGD_OUTPUT_DIR=str(tmp_path / "out"),
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "fngd.cli", "train", "--config", str(cfg)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3
+    err = proc.stderr.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: epoch 1, step")
 
 
 def test_failed_solve_names_epoch_and_step_and_exits_3(tmp_path, out_dir, capsys):

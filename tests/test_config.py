@@ -259,3 +259,27 @@ def test_idx_dataset_requires_existing_files(tmp_path):
         lopsided = text.replace(f"labels = {labs}",
                                 f"labels = {labs}\ntest_images = {imgs}")
         load_train_config(_write(tmp_path, lopsided, name="c.cfg"))
+
+
+@pytest.mark.parametrize("line", ["n = 16", "features = 3", "test_n = 7"])
+def test_idx_dataset_refuses_synthetic_keys(tmp_path, line):
+    imgs = tmp_path / "train.idx"
+    labs = tmp_path / "labels.idx"
+    rng = np.random.Generator(np.random.PCG64(0))
+    data.write_idx_images(imgs, rng.integers(0, 255, (6, 4, 4)).astype(np.uint8))
+    data.write_idx_labels(labs, np.array([0, 1, 0, 1, 0, 1], dtype=np.uint8))
+    text = BASE.replace(
+        "kind = synthetic\nn = 60\nfeatures = 5\nclasses = 2\ntest_n = 20",
+        f"kind = idx\nimages = {imgs}\nlabels = {labs}\nclasses = 2\n{line}",
+    ).replace("input = 5", "input = 16").replace("dense 5 4", "dense 16 4")
+    key = line.split()[0]
+    with pytest.raises(ConfigError, match=rf"^dataset\.{key}: not read for idx datasets$"):
+        load_train_config(_write(tmp_path, text))
+
+
+@pytest.mark.parametrize("key", ["images", "labels", "test_images", "test_labels"])
+def test_synthetic_dataset_refuses_idx_keys(tmp_path, key):
+    text = BASE.replace("test_n = 20", f"test_n = 20\n{key} = data.idx")
+    with pytest.raises(ConfigError,
+                       match=rf"^dataset\.{key}: not read for synthetic datasets$"):
+        load_train_config(_write(tmp_path, text))

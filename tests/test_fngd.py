@@ -348,7 +348,7 @@ def test_zero_gradient_batch_produces_zero_step():
     t = x.copy()  # outputs equal targets, so every per-sample gradient is 0
     w0 = net.layers[0].weight.copy()
     b0 = net.layers[0].bias.copy()
-    loss = core.preconditioned_step(net, x, t, eta=0.5, rule=core.DampingRule())
+    loss = core.preconditioned_step(net, x, t, eta=0.5, rule=core.DampingRule()).loss
     assert loss == 0.0
     assert np.array_equal(net.layers[0].weight, w0)
     assert np.array_equal(net.layers[0].bias, b0)

@@ -1,11 +1,18 @@
-"""Split evaluation: chunked forward passes against one whole-split pass."""
+"""Split evaluation, and what the training loop reports from its steps.
 
+Chunked forward passes are checked against one whole-split pass; the
+train rows' running accuracy is recounted from the steps' own forwards,
+and the training split is evaluated once per run.
+"""
+
+import csv
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from fngd import data, nn
+from fngd import data, nn, train
+from fngd.config import OPTIMIZERS, load_train_config
 from fngd.train import evaluate
 
 N = 17
@@ -69,3 +76,113 @@ def test_evaluate_memory_tracks_the_batch_not_the_split():
     one = _split(net, batch, rng)
     eight = _split(net, 8 * batch, rng)
     assert _eval_peak(net, eight, batch) <= 2 * _eval_peak(net, one, batch)
+
+
+# 44 samples at batch 8: five steps per epoch, the last four samples dropped
+RUN = """\
+[dataset]
+kind = synthetic
+n = 44
+features = 5
+classes = 3
+test_n = 20
+
+[model]
+input = 5
+layer = dense 5 6
+layer = relu
+layer = dense 6 3
+loss = {loss}
+
+[train]
+optimizer = {kind}
+lr = 0.3
+epochs = 4
+batch_size = 8
+seed = 5
+
+[output]
+metrics = {out}/metrics.csv
+bench = {out}/bench.csv
+ablate = {out}/ablate.csv
+"""
+STEPS, BATCH, EPOCHS = 5, 8, 4
+
+
+def _load(tmp_path, kind="fngd", loss="cross_entropy"):
+    path = tmp_path / f"{kind}.cfg"
+    path.write_text(RUN.format(kind=kind, loss=loss, out=tmp_path / "out"))
+    return load_train_config(path)
+
+
+def _rows(cfg, split):
+    lines = cfg.metrics_path.read_text().splitlines()[1:]
+    return [r for r in csv.DictReader(lines) if r["split"] == split]
+
+
+def _count_evaluate(monkeypatch):
+    sizes = []
+    real = train.evaluate
+
+    def counting(net, ds, batch):
+        sizes.append(ds.n)
+        return real(net, ds, batch)
+
+    monkeypatch.setattr(train, "evaluate", counting)
+    return sizes
+
+
+@pytest.mark.parametrize("entry, runs", [
+    (lambda cfg: train.run_train(cfg), 1),
+    (lambda cfg: train.run_bench(cfg), len(train.BENCH_KINDS)),
+    (lambda cfg: train.run_ablate(cfg), len(train.ABLATE_VARIANTS)),
+], ids=["train", "bench", "ablate"])
+def test_training_split_is_evaluated_once_per_training_run(tmp_path, monkeypatch,
+                                                           entry, runs):
+    cfg = _load(tmp_path)
+    sizes = _count_evaluate(monkeypatch)
+    entry(cfg)
+    assert sizes.count(44) == runs
+    assert sizes.count(20) == runs * EPOCHS
+    assert len(sizes) == runs * (EPOCHS + 1)
+
+
+@pytest.mark.parametrize("kind", OPTIMIZERS)
+def test_train_row_accuracy_recounts_the_steps_own_forwards(tmp_path, monkeypatch, kind):
+    cfg = _load(tmp_path, kind)
+    steps = []
+    real = nn.backward
+
+    def recording(net, fwd, targets):
+        steps.append((fwd.outputs.copy(), np.array(targets)))
+        return real(net, fwd, targets)
+
+    monkeypatch.setattr(nn, "backward", recording)
+    train.run_train(cfg)
+    rows = _rows(cfg, "train")
+    assert len(rows) == EPOCHS and len(steps) == EPOCHS * STEPS
+    for e, row in enumerate(rows):
+        hits = sum(int(np.argmax(out[:, j]) == labels[j])
+                   for out, labels in steps[e * STEPS:(e + 1) * STEPS]
+                   for j in range(BATCH))
+        assert float(row["accuracy"]) == hits / (STEPS * BATCH)
+
+
+def test_final_train_accuracy_evaluates_the_trained_weights(tmp_path):
+    cfg = _load(tmp_path)
+    result = train.run_train(cfg)
+    train_ds, _ = train.load_datasets(cfg)
+    assert result.final["train_accuracy"] == evaluate(result.net, train_ds, BATCH)[1]
+
+
+@pytest.mark.parametrize("kind", ["sgd", "fngd"])
+def test_squared_error_run_leaves_train_accuracy_empty(tmp_path, monkeypatch, kind):
+    cfg = _load(tmp_path, kind, loss="squared_error")
+    rng = _rng(9)
+    regression = data.Dataset(rng.standard_normal((5, 44)), rng.standard_normal((3, 44)))
+    monkeypatch.setattr(train, "load_datasets", lambda cfg: (regression, None))
+    result = train.run_train(cfg)
+    rows = _rows(cfg, "train")
+    assert len(rows) == EPOCHS
+    assert all(r["accuracy"] == "" for r in rows)
+    assert "train_accuracy" not in result.final
