@@ -233,8 +233,8 @@ def test_diverging_run_prints_one_error_line_and_no_warnings(tmp_path):
     text = (ROOT / "configs" / "mlp_synth.cfg").read_text()
     text = text.replace("optimizer = fngd", "optimizer = sgd").replace("lr = 0.1", "lr = 1e30")
     cfg = _write_cfg(tmp_path, text)
-    env = dict(os.environ, FNGD_OUTPUT_DIR=str(tmp_path / "out"),
-               PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    path = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, FNGD_OUTPUT_DIR=str(tmp_path / "out"), PYTHONPATH=os.pathsep.join(path))
     proc = subprocess.run([sys.executable, "-m", "fngd.cli", "train", "--config", str(cfg)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 3
