@@ -1,4 +1,4 @@
-"""Command-line front door: train, verify, bench, ablate.
+"""Command-line front door: train, verify, bench.
 
 The FNGD_OUTPUT_DIR environment variable, when set, redirects every
 output file of a run into that directory (file names kept).
@@ -12,7 +12,7 @@ import sys
 
 from . import theory
 from .config import ConfigError, load_train_config
-from .train import TrainingError, run_ablate, run_bench, run_train
+from .train import TrainingError, run_bench, run_train
 
 __all__ = ["main"]
 
@@ -29,8 +29,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     train = sub.add_parser("train", help="train a model per a config file")
     train.add_argument("--config", required=True, help="path to the run config")
-    train.add_argument("--save-coeffs", default=None, metavar="FILE",
-                       help="write the shared coefficient table after epoch one")
     train.add_argument("--load-coeffs", default=None, metavar="FILE",
                        help="reuse a saved coefficient table; skips the "
                             "coefficient phase entirely")
@@ -40,11 +38,9 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--verbose", action="store_true",
                         help="also print each check's description")
 
-    bench = sub.add_parser("bench", help="per-epoch timing of every optimizer")
+    bench = sub.add_parser("bench", help="train every optimizer variant; per-phase "
+                                         "epoch time and final accuracy")
     bench.add_argument("--config", required=True)
-
-    ablate = sub.add_parser("ablate", help="train each design variant to completion")
-    ablate.add_argument("--config", required=True)
     return parser
 
 
@@ -78,15 +74,11 @@ def main(argv=None) -> int:
             expect_loaded_coeffs=getattr(args, "load_coeffs", None) is not None,
         )
         if args.command == "train":
-            result = run_train(cfg, save_coeffs=args.save_coeffs,
-                               load_coeffs=args.load_coeffs, log=print)
+            result = run_train(cfg, load_coeffs=args.load_coeffs, log=print)
             print(f"metrics written to {result.metrics_path}")
-        elif args.command == "bench":
+        else:
             out = run_bench(cfg, log=print)
             print(f"bench table written to {out}")
-        else:
-            out = run_ablate(cfg, log=print)
-            print(f"ablation table written to {out}")
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

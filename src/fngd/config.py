@@ -122,7 +122,6 @@ class TrainConfig:
     metrics_path: Path = Path("out/metrics.csv")
     coeffs_path: Path | None = None
     bench_path: Path = Path("out/bench.csv")
-    ablate_path: Path = Path("out/ablate.csv")
 
 
 _REQUIRED = object()
@@ -339,7 +338,6 @@ def load_train_config(path, out_dir=None,
 
     metrics_path = Path(_one(sections, "output", "metrics", default="out/metrics.csv"))
     bench_path = Path(_one(sections, "output", "bench", default="out/bench.csv"))
-    ablate_path = Path(_one(sections, "output", "ablate", default="out/ablate.csv"))
     raw_coeffs = _one(sections, "output", "coeffs", default=None)
     coeffs_path = Path(raw_coeffs) if raw_coeffs else None
     unknown = [f"{section}.{key}" for section, keys in sections.items() for key in keys]
@@ -349,7 +347,6 @@ def load_train_config(path, out_dir=None,
         out_dir = Path(out_dir)
         metrics_path = out_dir / metrics_path.name
         bench_path = out_dir / bench_path.name
-        ablate_path = out_dir / ablate_path.name
         if coeffs_path is not None:
             coeffs_path = out_dir / coeffs_path.name
 
@@ -365,5 +362,4 @@ def load_train_config(path, out_dir=None,
         metrics_path=metrics_path,
         coeffs_path=coeffs_path,
         bench_path=bench_path,
-        ablate_path=ablate_path,
     )

@@ -165,10 +165,6 @@ class CoefficientTable:
         self.shared: dict[int, tuple[np.ndarray, float]] = {}
         self.finalized = False
 
-    @property
-    def batch_count(self) -> int:
-        return max(self._counts.values(), default=0)
-
     def accumulate(self, layer: int, v: np.ndarray, lam: float) -> None:
         if self.finalized:
             raise TableStateError("coefficient table is already finalized")

@@ -106,6 +106,10 @@ def schedule_lr(sched: LrSchedule, epoch: int) -> float:
 def make_lr_schedule(base_lr: float, epochs: int,
                      fractions: tuple[float, ...] = (0.5, 0.75),
                      decay: float = 0.1) -> LrSchedule:
-    """Milestones at fixed fractions of the run (default 50% and 75%)."""
-    stones = tuple(int(f * epochs) for f in fractions)
+    """Milestones at fixed fractions of the run (default 50% and 75%).
+
+    No milestone falls on epoch 0, so the first epoch always runs at
+    base_lr, however short the run.
+    """
+    stones = tuple(max(1, int(f * epochs)) for f in fractions)
     return LrSchedule(base_lr, stones, decay)

@@ -30,10 +30,6 @@ __all__ = [
 
 DEFAULT_U_BUDGET_BYTES = 64 * 1024 * 1024
 
-# Eigenvalues below -tol * ||G||_F mean the Gram was not assembled from
-# a real set of per-sample gradients, i.e. a backward-pass bug.
-_PSD_TOL = 1e-10
-
 
 @dataclass
 class GramStats:
@@ -49,22 +45,6 @@ class GramStats:
     @property
     def batch(self) -> int:
         return self.gram.shape[0]
-
-    def validate(self) -> None:
-        """Hard checks: symmetry and PSD up to roundoff."""
-        g = self.gram
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise ValueError(f"gram must be square, got {g.shape}")
-        scale = max(1.0, float(np.abs(g).max(initial=0.0)))
-        if float(np.abs(g - g.T).max(initial=0.0)) > 1e-12 * scale:
-            raise ValueError("gram is not symmetric")
-        fro = linalg.frobenius_norm(g)
-        smallest = float(linalg.sym_eigvals(g)[0])
-        if smallest < -_PSD_TOL * fro:
-            raise ValueError(
-                f"gram has eigenvalue {smallest:.3e} below the PSD tolerance; "
-                f"suspect the backward pass"
-            )
 
 
 def gram_dense(capture: LayerCapture) -> GramStats:

@@ -1,4 +1,4 @@
-"""Training, evaluation, benchmarking, and the ablation driver.
+"""Training, evaluation, and the bench driver that compares optimizers.
 
 Metrics land in a versioned CSV (schema fngd-metrics-v2): one train row
 and, when a test split exists, one test row per epoch.  A train row's
@@ -33,14 +33,12 @@ __all__ = [
     "evaluate",
     "run_train",
     "run_bench",
-    "run_ablate",
 ]
 
 METRICS_VERSION = "fngd-metrics-v2"
 METRICS_COLUMNS = ("epoch", "step", "split", "loss", "accuracy", "wall_ms", "optimizer")
 
-BENCH_VERSION = "fngd-bench-v1"
-ABLATE_VERSION = "fngd-ablate-v1"
+BENCH_VERSION = "fngd-bench-v2"
 
 
 def build_network(model: ModelSpec, seed: int) -> nn.Network:
@@ -250,6 +248,11 @@ def _train_loop(cfg: TrainConfig, train_ds: data.Dataset,
             f"model.input: network expects {net.in_dim} features, dataset "
             f"provides {train_ds.feature_dim}"
         )
+    if test_ds is not None and test_ds.feature_dim != net.in_dim:
+        raise ConfigError(
+            f"dataset.test_images: network expects {net.in_dim} features, test split "
+            f"provides {test_ds.feature_dim}"
+        )
     runner = _Runner(cfg, net, table)
     sched = optim.make_lr_schedule(cfg.optim.lr, cfg.epochs, cfg.milestones, cfg.lr_decay)
 
@@ -307,8 +310,7 @@ def _train_loop(cfg: TrainConfig, train_ds: data.Dataset,
     return TrainResult(None, final, times, net, runner.table)
 
 
-def run_train(cfg: TrainConfig, save_coeffs=None, load_coeffs=None,
-              log=None) -> TrainResult:
+def run_train(cfg: TrainConfig, load_coeffs=None, log=None) -> TrainResult:
     """Train once per the config; write metrics and optional coefficients.
 
     A loaded coefficient table is checked against the network before any
@@ -329,92 +331,64 @@ def run_train(cfg: TrainConfig, save_coeffs=None, load_coeffs=None,
         writer.close()
     result.metrics_path = cfg.metrics_path
 
-    coeffs_out = save_coeffs if save_coeffs is not None else cfg.coeffs_path
-    if coeffs_out is not None and result.table is not None:
-        result.table.save(coeffs_out)
+    if cfg.coeffs_path is not None and result.table is not None:
+        result.table.save(cfg.coeffs_path)
         if log is not None:
-            log(f"coefficients saved to {coeffs_out}")
+            log(f"coefficients saved to {cfg.coeffs_path}")
     if log is not None:
         log("final: " + " ".join(f"{k}={v:.6f}" for k, v in sorted(result.final.items())))
     return result
 
 
-BENCH_KINDS = ("sgd", "fngd", "ngd_smw", "fngd_explicit")
-
-
-def _with_kind(cfg: TrainConfig, kind: str, **optim_fields) -> TrainConfig:
-    return replace(cfg, optim=replace(cfg.optim, kind=kind, **optim_fields))
+# (variant, optimizer, optim overrides), trained in this order; sgd first
+# because every row's time ratio is against it.
+BENCH_VARIANTS = (
+    ("sgd", "sgd", {}),
+    ("fngd", "fngd", {}),
+    ("ngd_smw", "ngd_smw", {}),
+    ("fngd_explicit", "fngd_explicit", {}),
+    ("fixed_damping", "fngd", {"fixed_damping": 0.3}),
+)
 
 
 def run_bench(cfg: TrainConfig, log=None) -> Path:
-    """Per-epoch wall time for sgd, fngd (both phases), recompute ngd,
-    and the explicit-U route, all on identical data and init.
+    """Train every variant to completion on identical data and init:
+    sgd, fngd, recompute ngd, the explicit-U route, and fngd at a fixed
+    damping.
 
-    Writes schema fngd-bench-v1: optimizer, phase, epochs_timed,
-    median_epoch_ms, ratio_vs_sgd.
+    Writes schema fngd-bench-v2: variant, optimizer, phase, epochs_timed,
+    median_epoch_ms, ratio_vs_sgd, final_test_accuracy.  A sharing
+    variant gets one row for its coefficient-building first epoch and
+    one for its shared phase; the accuracy is the test split's, or the
+    training split's when there is no test split.
     """
     if cfg.epochs < 4:
         raise ValueError(f"bench needs at least 4 epochs for stable medians, got {cfg.epochs}")
     train_ds, test_ds = load_datasets(cfg)
     rows = []
-    sgd_median = None
-    for kind in BENCH_KINDS:
-        result = _train_loop(_with_kind(cfg, kind), train_ds, test_ds, writer=None)
+    for variant, kind, fields in BENCH_VARIANTS:
+        cfg_v = replace(cfg, optim=replace(cfg.optim, kind=kind, **fields))
+        result = _train_loop(cfg_v, train_ds, test_ds, writer=None)
         times = result.epoch_times_ms
+        acc = result.final.get("test_accuracy", result.final.get("train_accuracy"))
         if kind in SHARING:
             phases = [("epoch1", [times[0]]), ("shared", times[1:])]
         else:
             phases = [("all", times)]
         for phase, sample in phases:
-            med = statistics.median(sample)
-            rows.append([kind, phase, len(sample), med])
-            if kind == "sgd":
-                sgd_median = med
+            rows.append([variant, kind, phase, len(sample), statistics.median(sample), acc])
+    sgd_median = rows[0][4]
     out = cfg.bench_path
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="") as fh:
         fh.write(f"# {BENCH_VERSION} median_epoch_ms=nondeterministic\n")
-        fh.write("optimizer,phase,epochs_timed,median_epoch_ms,ratio_vs_sgd\n")
-        for kind, phase, n_timed, med in rows:
+        fh.write("variant,optimizer,phase,epochs_timed,median_epoch_ms,ratio_vs_sgd,"
+                 "final_test_accuracy\n")
+        for variant, kind, phase, n_timed, med, acc in rows:
             ratio = med / sgd_median
-            fh.write(f"{kind},{phase},{n_timed},{med:.3f},{ratio:.3f}\n")
-            if log is not None:
-                log(f"{kind:14s} {phase:7s} median {med:9.2f} ms  {ratio:5.2f}x sgd")
-    return out
-
-
-ABLATE_VARIANTS = (
-    ("full", "fngd", {}),
-    ("no_sharing", "ngd_smw", {}),
-    ("no_acceleration", "fngd_explicit", {}),
-    ("fixed_damping", "fngd", {"fixed_damping": 0.3}),
-)
-
-
-def run_ablate(cfg: TrainConfig, log=None) -> Path:
-    """Train each design variant to completion on identical data.
-
-    Writes schema fngd-ablate-v1 with one row per variant: final test
-    accuracy, median per-epoch time, and the time ratio against the
-    full method.
-    """
-    train_ds, test_ds = load_datasets(cfg)
-    measured = []
-    for name, kind, fields in ABLATE_VARIANTS:
-        result = _train_loop(_with_kind(cfg, kind, **fields), train_ds, test_ds,
-                             writer=None)
-        med = statistics.median(result.epoch_times_ms)
-        acc = result.final.get("test_accuracy", result.final.get("train_accuracy"))
-        measured.append([name, kind, acc, med])
-    base = measured[0][3]
-    out = cfg.ablate_path
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="") as fh:
-        fh.write(f"# {ABLATE_VERSION} median_epoch_ms=nondeterministic\n")
-        fh.write("variant,optimizer,final_test_accuracy,median_epoch_ms,time_ratio_vs_full\n")
-        for name, kind, acc, med in measured:
             acc_s = "" if acc is None else f"{acc:.4f}"
-            fh.write(f"{name},{kind},{acc_s},{med:.3f},{med / base:.3f}\n")
+            fh.write(f"{variant},{kind},{phase},{n_timed},{med:.3f},{ratio:.3f},{acc_s}\n")
             if log is not None:
-                log(f"{name:16s} acc={acc_s:6s} median {med:9.2f} ms  {med / base:5.2f}x full")
+                log(f"{variant:14s} {phase:7s} median {med:9.2f} ms  {ratio:5.2f}x sgd"
+                    f"  acc={acc_s}")
     return out

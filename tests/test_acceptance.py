@@ -250,7 +250,7 @@ def test_criterion_08_timing_structure(tmp_path):
     )
     out = train.run_bench(cfg)
     rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
-    med = {(r["optimizer"], r["phase"]): float(r["median_epoch_ms"]) for r in rows}
+    med = {(r["variant"], r["phase"]): float(r["median_epoch_ms"]) for r in rows}
     shared_vs_sgd = med[("fngd", "shared")] / med[("sgd", "all")]
     ngd_vs_shared = med[("ngd_smw", "all")] / med[("fngd", "shared")]
     explicit_vs_weighted = (med[("fngd_explicit", "shared")]

@@ -5,6 +5,7 @@ capsys work, except one run in a child process that checks stderr as a
 user sees it; FNGD_OUTPUT_DIR keeps artifacts inside tmp_path.
 """
 
+import argparse
 import csv
 import math
 import os
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 from fngd import data, linalg, persample, train
-from fngd.cli import main
+from fngd.cli import _build_parser, main
 from fngd.train import METRICS_COLUMNS, METRICS_VERSION
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -101,9 +102,9 @@ def test_verify_verbose_adds_detail(capsys):
 
 
 def test_coefficient_table_round_trip(tmp_path, out_dir, monkeypatch):
-    cfg = _write_cfg(tmp_path, CFG)
-    table_path = tmp_path / "coeffs.csv"
-    assert main(["train", "--config", str(cfg), "--save-coeffs", str(table_path)]) == 0
+    cfg = _write_cfg(tmp_path, CFG + "\n[output]\ncoeffs = coeffs.csv\n")
+    table_path = out_dir / "coeffs.csv"
+    assert main(["train", "--config", str(cfg)]) == 0
     head = table_path.read_text().splitlines()[0]
     assert head == "fngd-coefficients,1"
 
@@ -217,6 +218,29 @@ def test_idx_dataset_with_synthetic_keys_exits_2_before_any_output(tmp_path, out
     assert not out_dir.exists()
 
 
+def test_test_split_feature_mismatch_exits_2_before_any_step(tmp_path, out_dir, capsys):
+    rng = np.random.Generator(np.random.PCG64(0))
+    paths = {name: tmp_path / f"{name}.idx"
+             for name in ("images", "labels", "test_images", "test_labels")}
+    data.write_idx_images(paths["images"], rng.integers(0, 255, (40, 4, 4)).astype(np.uint8))
+    data.write_idx_labels(paths["labels"], rng.integers(0, 2, 40).astype(np.uint8))
+    data.write_idx_images(paths["test_images"],
+                          rng.integers(0, 255, (16, 5, 5)).astype(np.uint8))
+    data.write_idx_labels(paths["test_labels"], rng.integers(0, 2, 16).astype(np.uint8))
+    text = CFG.replace(
+        "kind = synthetic\nn = 40\nfeatures = 5\nclasses = 2\ntest_n = 16",
+        "kind = idx\nclasses = 2\n" + "".join(f"{k} = {v}\n" for k, v in paths.items()),
+    ).replace("input = 5", "input = 16").replace("dense 5 4", "dense 16 4")
+    assert main(["train", "--config", str(_write_cfg(tmp_path, text))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: dataset.test_images: network expects 16 features, "
+                            "test split provides 25\n")
+    # the header alone: not one train row
+    assert (out_dir / "metrics.csv").read_text().splitlines() == [
+        f"# {METRICS_VERSION} wall_ms=nondeterministic", ",".join(METRICS_COLUMNS)]
+
+
 def test_non_finite_loss_names_epoch_and_step_and_exits_3(tmp_path, out_dir, capsys):
     # a step of 1e30 overflows the weights within the first epoch, and
     # the next forward pass meets inf - inf in the softmax
@@ -265,10 +289,10 @@ def test_failed_solve_names_epoch_and_step_and_exits_3(tmp_path, out_dir, capsys
 ])
 def test_mismatched_loaded_coeffs_exit_2_before_any_output(change, message, tmp_path,
                                                            monkeypatch, capsys):
-    table_path = tmp_path / "coeffs.csv"
+    table_path = tmp_path / "first" / "coeffs.csv"
     monkeypatch.setenv("FNGD_OUTPUT_DIR", str(tmp_path / "first"))
-    assert main(["train", "--config", str(_write_cfg(tmp_path, CFG)),
-                 "--save-coeffs", str(table_path)]) == 0
+    saving = CFG + "\n[output]\ncoeffs = coeffs.csv\n"
+    assert main(["train", "--config", str(_write_cfg(tmp_path, saving))]) == 0
     capsys.readouterr()
 
     def no_data(cfg):
@@ -287,10 +311,10 @@ def test_mismatched_loaded_coeffs_exit_2_before_any_output(change, message, tmp_
 
 
 def test_non_finite_loaded_coeffs_exit_2_before_any_output(tmp_path, monkeypatch, capsys):
-    table_path = tmp_path / "coeffs.csv"
+    table_path = tmp_path / "first" / "coeffs.csv"
     monkeypatch.setenv("FNGD_OUTPUT_DIR", str(tmp_path / "first"))
-    assert main(["train", "--config", str(_write_cfg(tmp_path, CFG)),
-                 "--save-coeffs", str(table_path)]) == 0
+    saving = CFG + "\n[output]\ncoeffs = coeffs.csv\n"
+    assert main(["train", "--config", str(_write_cfg(tmp_path, saving))]) == 0
     capsys.readouterr()
     head, row, *rest = table_path.read_text().splitlines()
     fields = row.split(",")
@@ -305,6 +329,15 @@ def test_non_finite_loaded_coeffs_exit_2_before_any_output(tmp_path, monkeypatch
     assert captured.out == ""
     assert captured.err == f"error: {table_path}: layer 0 has non-finite damping nan\n"
     assert not second.exists()
+
+
+def test_readme_cli_block_names_every_subcommand():
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    named = [line.split()[1] for line in block.splitlines() if line.startswith("fngd ")]
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert sorted(named) == sorted(sub.choices)
 
 
 def test_missing_config_exits_2(tmp_path, out_dir, capsys):
@@ -332,37 +365,29 @@ def test_bench_writes_phase_table(tmp_path, out_dir):
     cfg = _write_cfg(tmp_path, text)
     assert main(["bench", "--config", str(cfg)]) == 0
     lines = (out_dir / "bench.csv").read_text().splitlines()
-    assert lines[0].startswith("# fngd-bench-v1")
+    assert lines[0].startswith("# fngd-bench-v2")
     rows = list(csv.DictReader(lines[1:]))
-    got = {(r["optimizer"], r["phase"]) for r in rows}
-    assert got == {
-        ("sgd", "all"), ("ngd_smw", "all"),
-        ("fngd", "epoch1"), ("fngd", "shared"),
-        ("fngd_explicit", "epoch1"), ("fngd_explicit", "shared"),
-    }
-    sgd = next(r for r in rows if r["optimizer"] == "sgd")
+    assert tuple(rows[0].keys()) == (
+        "variant", "optimizer", "phase", "epochs_timed", "median_epoch_ms",
+        "ratio_vs_sgd", "final_test_accuracy")
+    assert [(r["variant"], r["optimizer"], r["phase"]) for r in rows] == [
+        ("sgd", "sgd", "all"),
+        ("fngd", "fngd", "epoch1"), ("fngd", "fngd", "shared"),
+        ("ngd_smw", "ngd_smw", "all"),
+        ("fngd_explicit", "fngd_explicit", "epoch1"),
+        ("fngd_explicit", "fngd_explicit", "shared"),
+        ("fixed_damping", "fngd", "epoch1"), ("fixed_damping", "fngd", "shared"),
+    ]
+    sgd = next(r for r in rows if r["variant"] == "sgd")
     assert float(sgd["ratio_vs_sgd"]) == 1.0
     assert all(float(r["median_epoch_ms"]) > 0 for r in rows)
+    assert all(0.0 <= float(r["final_test_accuracy"]) <= 1.0 for r in rows)
 
 
 def test_bench_needs_four_epochs(tmp_path, out_dir, capsys):
     cfg = _write_cfg(tmp_path, CFG.replace("epochs = 2", "epochs = 3"))
     assert main(["bench", "--config", str(cfg)]) == 2
     assert "at least 4 epochs" in capsys.readouterr().err
-
-
-def test_ablate_writes_variant_table(tmp_path, out_dir):
-    text = CFG.replace("n = 40", "n = 24").replace("batch_size = 8", "batch_size = 6")
-    cfg = _write_cfg(tmp_path, text)
-    assert main(["ablate", "--config", str(cfg)]) == 0
-    lines = (out_dir / "ablate.csv").read_text().splitlines()
-    assert lines[0].startswith("# fngd-ablate-v1")
-    rows = list(csv.DictReader(lines[1:]))
-    assert [r["variant"] for r in rows] == [
-        "full", "no_sharing", "no_acceleration", "fixed_damping"]
-    full = rows[0]
-    assert float(full["time_ratio_vs_full"]) == 1.0
-    assert all(0.0 <= float(r["final_test_accuracy"]) <= 1.0 for r in rows)
 
 
 DEGENERATE = """\

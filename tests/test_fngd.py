@@ -395,7 +395,6 @@ def test_table_accumulate_and_finalize_arithmetic():
     v, lam_bar = table.shared_for(0)
     assert np.abs(v - [0.3, 0.2]).max() <= 1e-16
     assert lam_bar == 2.0
-    assert table.batch_count == 2
 
 
 def test_table_state_errors():

@@ -136,6 +136,16 @@ def test_schedule_default_milestones_hand_values():
     assert abs(optim.schedule_lr(sched, 99) - 0.002) <= 1e-17
 
 
+def test_schedule_short_run_starts_at_base_lr():
+    # int(f * epochs) is 0 for every fraction of a one-epoch run; a
+    # milestone there would decay the lr before the first step
+    sched = optim.make_lr_schedule(0.1, epochs=1)
+    assert sched.milestones == (1, 1)
+    assert optim.schedule_lr(sched, 0) == 0.1
+    assert optim.make_lr_schedule(0.1, epochs=2).milestones == (1, 1)
+    assert optim.make_lr_schedule(0.1, epochs=3).milestones == (1, 2)
+
+
 def test_schedule_validation():
     with pytest.raises(ValueError, match="base_lr"):
         optim.LrSchedule(0.0)

@@ -40,7 +40,6 @@ def test_gram_dense_matches_explicit_khatri_rao():
     got = persample.gram_dense(cap)
     scale = max(1.0, np.abs(want).max())
     assert np.abs(got.gram - want).max() <= 1e-12 * scale
-    got.validate()
 
 
 def test_gram_single_sample_is_scalar_product():
@@ -93,20 +92,6 @@ def test_gram_psd_within_tolerance():
     stats = persample.gram_dense(cap)
     eigs = linalg.sym_eigvals(stats.gram)
     assert eigs[0] >= -1e-10 * linalg.frobenius_norm(stats.gram)
-
-
-def test_validate_catches_corruption():
-    cap = _dense_capture(7)
-    stats = persample.gram_dense(cap)
-    stats.gram[0, 0] = -10.0 * linalg.frobenius_norm(stats.gram)
-    with pytest.raises(ValueError):
-        stats.validate()
-
-    stats3 = persample.gram_dense(cap)
-    stats3.gram = stats3.gram.copy()
-    stats3.gram[0, 1] += 1.0
-    with pytest.raises(ValueError, match="symmetric"):
-        stats3.validate()
 
 
 def test_gram_dense_requires_backward_and_kind():

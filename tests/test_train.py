@@ -104,7 +104,6 @@ seed = 5
 [output]
 metrics = {out}/metrics.csv
 bench = {out}/bench.csv
-ablate = {out}/ablate.csv
 """
 STEPS, BATCH, EPOCHS = 5, 8, 4
 
@@ -134,9 +133,8 @@ def _count_evaluate(monkeypatch):
 
 @pytest.mark.parametrize("entry, runs", [
     (lambda cfg: train.run_train(cfg), 1),
-    (lambda cfg: train.run_bench(cfg), len(train.BENCH_KINDS)),
-    (lambda cfg: train.run_ablate(cfg), len(train.ABLATE_VARIANTS)),
-], ids=["train", "bench", "ablate"])
+    (lambda cfg: train.run_bench(cfg), len(train.BENCH_VARIANTS)),
+], ids=["train", "bench"])
 def test_training_split_is_evaluated_once_per_training_run(tmp_path, monkeypatch,
                                                            entry, runs):
     cfg = _load(tmp_path)
