@@ -68,11 +68,7 @@ def main(argv=None) -> int:
 
     out_dir = os.environ.get(OUTPUT_DIR_ENV) or None
     try:
-        cfg = load_train_config(
-            args.config,
-            out_dir=out_dir,
-            expect_loaded_coeffs=getattr(args, "load_coeffs", None) is not None,
-        )
+        cfg = load_train_config(args.config, out_dir=out_dir)
         if args.command == "train":
             result = run_train(cfg, load_coeffs=args.load_coeffs, log=print)
             print(f"metrics written to {result.metrics_path}")

@@ -79,7 +79,6 @@ class LayerSpec:
 class ModelSpec:
     input_shape: tuple[int, ...]     # (features,) or (channels, height, width)
     layers: tuple[LayerSpec, ...]
-    loss: str = "cross_entropy"
 
 
 @dataclass(frozen=True)
@@ -207,10 +206,13 @@ def _parse_model(sections) -> ModelSpec:
     if not raw_layers:
         raise ConfigError("model.layer: need at least one layer")
     layers = tuple(_parse_layer(raw, i) for i, raw in enumerate(raw_layers))
+    # Both dataset kinds give class labels, so cross-entropy is the one loss
+    # a run trains with; configs may still spell it out.
     loss = _one(sections, "model", "loss", default="cross_entropy")
-    if loss not in ("cross_entropy", "squared_error"):
-        raise ConfigError(f"model.loss: unknown loss {loss!r}")
-    return ModelSpec(shape, layers, loss)
+    if loss != "cross_entropy":
+        raise ConfigError(f"model.loss: only cross_entropy trains on class labels, "
+                          f"got {loss!r}")
+    return ModelSpec(shape, layers)
 
 
 # The dataset keys each kind reads.  A key that only the other kind reads
@@ -266,15 +268,14 @@ def _parse_dataset(sections) -> DatasetSpec:
     return spec
 
 
-def load_train_config(path, out_dir=None,
-                      expect_loaded_coeffs: bool = False) -> TrainConfig:
+def load_train_config(path, out_dir=None) -> TrainConfig:
     """Parse and validate a full training config.
 
     out_dir, when given, redirects every output path into that
-    directory (file names kept); expect_loaded_coeffs relaxes the
-    two-epoch minimum since a preloaded table skips the coefficient
-    phase.  A key that no part of the loader reads is refused, so that a
-    misspelled key or section cannot silently fall back to a default.
+    directory (file names kept).  A key that no part of the loader reads
+    is refused, so that a misspelled key or section cannot silently fall
+    back to a default.  Checks that need the built network or the data
+    are made by the training entry points, before their first output.
     """
     sections = parse_config_file(path)
     dataset = _parse_dataset(sections)
@@ -305,6 +306,15 @@ def load_train_config(path, out_dir=None,
         raise ConfigError(
             f"train.fixed_damping: must be positive, got {optim.fixed_damping}"
         )
+    for key in ("momentum", "beta1", "beta2"):
+        value = getattr(optim, key)
+        if not 0.0 <= value < 1.0:
+            raise ConfigError(f"train.{key}: must be in [0, 1), got {value}")
+    if optim.eps <= 0.0:
+        raise ConfigError(f"train.eps: must be positive, got {optim.eps}")
+    if optim.weight_decay < 0.0:
+        raise ConfigError(
+            f"train.weight_decay: must be non-negative, got {optim.weight_decay}")
 
     epochs = _one(sections, "train", "epochs", default=_REQUIRED, cast=int)
     batch_size = _one(sections, "train", "batch_size", default=_REQUIRED, cast=int)
@@ -314,15 +324,9 @@ def load_train_config(path, out_dir=None,
     if batch_size < 1:
         raise ConfigError(f"train.batch_size: must be positive, got {batch_size}")
 
-    preconditioned = kind in PRECONDITIONED
-    if preconditioned and batch_size < 2:
+    if kind in PRECONDITIONED and batch_size < 2:
         raise ConfigError(
             f"train.batch_size: {kind} needs at least 2 samples per batch, got {batch_size}"
-        )
-    if kind in SHARING and epochs < 2 and not expect_loaded_coeffs:
-        raise ConfigError(
-            f"train.epochs: {kind} needs at least 2 epochs (epoch one computes "
-            f"the shared coefficients), got {epochs}"
         )
 
     lr_decay = _one(sections, "train", "lr_decay", default=0.1, cast=float)
@@ -333,6 +337,8 @@ def load_train_config(path, out_dir=None,
         raise ConfigError(f"train.milestones: bad value {raw_stones!r}") from exc
     if any(not 0.0 < s < 1.0 for s in milestones):
         raise ConfigError(f"train.milestones: fractions must be in (0, 1): {milestones}")
+    if list(milestones) != sorted(milestones):
+        raise ConfigError(f"train.milestones: fractions must be ascending: {milestones}")
     if not 0.0 < lr_decay <= 1.0:
         raise ConfigError(f"train.lr_decay: must be in (0, 1], got {lr_decay}")
 

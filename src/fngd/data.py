@@ -41,11 +41,8 @@ class IdxFormatError(ValueError):
 
 @dataclass
 class Dataset:
-    """Feature matrix (features x samples) plus targets.
-
-    Classification targets are a 1-D integer vector of class indices;
-    regression targets are a (outputs x samples) float matrix.
-    """
+    """Feature matrix (features x samples) plus a 1-D integer vector of
+    class indices, one per sample."""
 
     inputs: np.ndarray
     targets: np.ndarray
@@ -58,22 +55,17 @@ class Dataset:
             raise ValueError("inputs must be finite")
         n = self.inputs.shape[1]
         t = self.targets
-        if t.ndim == 1:
-            if t.shape[0] != n:
-                raise ValueError(f"{t.shape[0]} targets for {n} samples")
-            if self.num_classes is not None and t.size:
-                if int(t.min()) < 0 or int(t.max()) >= self.num_classes:
-                    raise ValueError(
-                        f"class index out of range: saw {int(t.max())} "
-                        f"with {self.num_classes} classes"
-                    )
-        elif t.ndim == 2:
-            if t.shape[1] != n:
-                raise ValueError(f"{t.shape[1]} target columns for {n} samples")
-            if not np.isfinite(t).all():
-                raise ValueError("targets must be finite")
-        else:
-            raise ValueError(f"targets must be 1-D or 2-D, got shape {t.shape}")
+        if t.ndim != 1:
+            raise ValueError(f"targets must be a 1-D vector of class indices, "
+                             f"got shape {t.shape}")
+        if t.shape[0] != n:
+            raise ValueError(f"{t.shape[0]} targets for {n} samples")
+        if self.num_classes is not None and t.size:
+            if int(t.min()) < 0 or int(t.max()) >= self.num_classes:
+                raise ValueError(
+                    f"class index out of range: saw {int(t.max())} "
+                    f"with {self.num_classes} classes"
+                )
 
     @property
     def n(self) -> int:
@@ -82,10 +74,6 @@ class Dataset:
     @property
     def feature_dim(self) -> int:
         return self.inputs.shape[0]
-
-    @property
-    def is_classification(self) -> bool:
-        return self.targets.ndim == 1
 
 
 def load_idx(path) -> np.ndarray:
@@ -207,7 +195,6 @@ def split(ds: Dataset, n_first: int) -> tuple[Dataset, Dataset]:
     """Cut a dataset into its first n_first columns and the rest."""
     if not 0 < n_first < ds.n:
         raise ValueError(f"split point {n_first} outside (0, {ds.n})")
-    t = ds.targets
-    first = Dataset(ds.inputs[:, :n_first], t[..., :n_first], ds.num_classes)
-    rest = Dataset(ds.inputs[:, n_first:], t[..., n_first:], ds.num_classes)
+    first = Dataset(ds.inputs[:, :n_first], ds.targets[:n_first], ds.num_classes)
+    rest = Dataset(ds.inputs[:, n_first:], ds.targets[n_first:], ds.num_classes)
     return first, rest

@@ -17,9 +17,7 @@ __all__ = [
     "sgd_momentum_step",
     "AdamWState",
     "adamw_step",
-    "LrSchedule",
-    "schedule_lr",
-    "make_lr_schedule",
+    "lr_schedule",
 ]
 
 
@@ -79,37 +77,15 @@ def adamw_step(state: AdamWState, params: dict[str, np.ndarray],
         p -= lr * mhat / (np.sqrt(vhat) + state.eps)
 
 
-@dataclass(frozen=True)
-class LrSchedule:
-    """Step decay: lr = base * decay^(milestones passed)."""
-
-    base_lr: float
-    milestones: tuple[int, ...] = ()
-    decay: float = 0.1
-
-    def __post_init__(self):
-        if self.base_lr <= 0.0:
-            raise ValueError(f"base_lr must be positive, got {self.base_lr}")
-        if not 0.0 < self.decay <= 1.0:
-            raise ValueError(f"decay must be in (0, 1], got {self.decay}")
-        if any(m < 0 for m in self.milestones):
-            raise ValueError(f"milestones must be non-negative: {self.milestones}")
-        if list(self.milestones) != sorted(self.milestones):
-            raise ValueError(f"milestones must be ascending: {self.milestones}")
-
-
-def schedule_lr(sched: LrSchedule, epoch: int) -> float:
-    passed = sum(1 for m in sched.milestones if epoch >= m)
-    return sched.base_lr * sched.decay ** passed
-
-
-def make_lr_schedule(base_lr: float, epochs: int,
-                     fractions: tuple[float, ...] = (0.5, 0.75),
-                     decay: float = 0.1) -> LrSchedule:
-    """Milestones at fixed fractions of the run (default 50% and 75%).
+def lr_schedule(base_lr: float, epochs: int, fractions: tuple[float, ...],
+                decay: float) -> list[float]:
+    """Each epoch's learning rate under step decay: base_lr times decay
+    per milestone passed, with milestones at the given fractions of the
+    run.
 
     No milestone falls on epoch 0, so the first epoch always runs at
     base_lr, however short the run.
     """
-    stones = tuple(max(1, int(f * epochs)) for f in fractions)
-    return LrSchedule(base_lr, stones, decay)
+    stones = [max(1, int(f * epochs)) for f in fractions]
+    return [base_lr * decay ** sum(1 for m in stones if epoch >= m)
+            for epoch in range(epochs)]

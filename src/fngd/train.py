@@ -85,7 +85,7 @@ def build_network(model: ModelSpec, seed: int) -> nn.Network:
         layers.append(layer)
         spatial = (out_ch, layer.out_h, layer.out_w)
         flat = layer.flat_out
-    return nn.Network(layers, model.loss)
+    return nn.Network(layers, "cross_entropy")
 
 
 def load_datasets(cfg: TrainConfig) -> tuple[data.Dataset, data.Dataset | None]:
@@ -111,8 +111,8 @@ def load_datasets(cfg: TrainConfig) -> tuple[data.Dataset, data.Dataset | None]:
     return train, test
 
 
-def evaluate(net: nn.Network, ds: data.Dataset, batch: int) -> tuple[float, float | None]:
-    """Loss and, for classification, top-1 accuracy over the whole split.
+def evaluate(net: nn.Network, ds: data.Dataset, batch: int) -> tuple[float, float]:
+    """Loss and top-1 accuracy over the whole split.
 
     The forward pass runs over consecutive column slices of `batch`
     samples, so evaluation holds no more activations (or conv im2col
@@ -125,18 +125,17 @@ def evaluate(net: nn.Network, ds: data.Dataset, batch: int) -> tuple[float, floa
         axis=1,
     )
     loss = nn.loss_value(net.loss, outputs, ds.targets)
-    if not ds.is_classification:
-        return loss, None
-    acc = float((outputs.argmax(axis=0) == ds.targets).mean())
-    return loss, acc
-
-
-def _take_targets(targets: np.ndarray, idx: np.ndarray):
-    return targets[idx] if targets.ndim == 1 else targets[:, idx]
+    return loss, float((outputs.argmax(axis=0) == ds.targets).mean())
 
 
 class TrainingError(RuntimeError):
     """A training step failed; the message names its epoch and step."""
+
+
+# A step loss above this multiple of max(1, the run's first step loss) means
+# a finite blow-up, which the non-finite check misses; on the shipped configs
+# and the benchmark workloads, under every optimizer, the ratio stays below 100.
+DIVERGENCE_FACTOR = 1e6
 
 
 class _Runner:
@@ -153,8 +152,6 @@ class _Runner:
         self.table = None
         if self.kind in SHARING:
             self.table = table if table is not None else core.CoefficientTable()
-        elif table is not None:
-            raise ValueError(f"a coefficient table only applies to fngd, not {self.kind}")
         if self.kind == "sgd_momentum":
             self.state = optim.MomentumState(beta=o.momentum)
         elif self.kind == "adamw":
@@ -198,10 +195,10 @@ class _MetricsWriter:
         self.fh.flush()
 
     def row(self, epoch: int, step: int, split: str, loss: float,
-            accuracy: float | None, wall_ms: float) -> None:
-        acc = "" if accuracy is None else repr(float(accuracy))
+            accuracy: float, wall_ms: float) -> None:
         self.fh.write(
-            f"{epoch},{step},{split},{float(loss)!r},{acc},{float(wall_ms)!r},{self.kind}\n"
+            f"{epoch},{step},{split},{float(loss)!r},{float(accuracy)!r},"
+            f"{float(wall_ms)!r},{self.kind}\n"
         )
         self.fh.flush()
 
@@ -238,11 +235,10 @@ def _check_loaded_table(table: core.CoefficientTable, net: nn.Network,
             )
 
 
-def _train_loop(cfg: TrainConfig, train_ds: data.Dataset,
-                test_ds: data.Dataset | None, writer: _MetricsWriter | None,
-                table: core.CoefficientTable | None = None,
-                log=None) -> TrainResult:
-    net = build_network(cfg.model, cfg.seed)
+def _check_splits(cfg: TrainConfig, net: nn.Network, train_ds: data.Dataset,
+                  test_ds: data.Dataset | None) -> None:
+    """Refuse splits that do not fit the network or the batch size, before
+    any output is opened; each message starts with the key to change."""
     if train_ds.feature_dim != net.in_dim:
         raise ConfigError(
             f"model.input: network expects {net.in_dim} features, dataset "
@@ -253,40 +249,63 @@ def _train_loop(cfg: TrainConfig, train_ds: data.Dataset,
             f"dataset.test_images: network expects {net.in_dim} features, test split "
             f"provides {test_ds.feature_dim}"
         )
+    if cfg.batch_size > train_ds.n:
+        raise ConfigError(f"train.batch_size: {cfg.batch_size} exceeds the training "
+                          f"split's {train_ds.n} samples")
+    if cfg.dataset.classes > net.out_dim:
+        raise ConfigError(f"dataset.classes: {cfg.dataset.classes} classes, but the "
+                          f"last layer has {net.out_dim} outputs")
+
+
+def _train_loop(cfg: TrainConfig, net: nn.Network, train_ds: data.Dataset,
+                test_ds: data.Dataset | None, writer: _MetricsWriter | None,
+                table: core.CoefficientTable | None = None,
+                log=None) -> TrainResult:
     runner = _Runner(cfg, net, table)
-    sched = optim.make_lr_schedule(cfg.optim.lr, cfg.epochs, cfg.milestones, cfg.lr_decay)
+    rates = optim.lr_schedule(cfg.optim.lr, cfg.epochs, cfg.milestones, cfg.lr_decay)
 
     times: list[float] = []
     steps_done = 0
+    first_loss = None
     final: dict[str, float] = {}
-    for epoch in range(cfg.epochs):
-        lr = optim.schedule_lr(sched, epoch)
+    for epoch, lr in enumerate(rates):
         plan = data.batches(train_ds.n, cfg.batch_size, cfg.seed + epoch)
         start = time.perf_counter()
         loss_sum = 0.0
-        correct = 0 if train_ds.is_classification else None
+        correct = 0
+        blow_up = None
         for idx in plan:
             try:
-                # A diverging step overflows; the loss check below reports it.
+                # A diverging step overflows; the loss checks below report it.
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    bwd = runner.step(train_ds.inputs[:, idx],
-                                      _take_targets(train_ds.targets, idx), lr)
+                    bwd = runner.step(train_ds.inputs[:, idx], train_ds.targets[idx], lr)
                 if not np.isfinite(bwd.loss):
                     raise RuntimeError(f"loss is {bwd.loss}")
             except RuntimeError as exc:
                 raise TrainingError(
                     f"epoch {epoch + 1}, step {steps_done + 1}: {exc}"
                 ) from exc
+            if first_loss is None:
+                first_loss = bwd.loss
+            if blow_up is None and bwd.loss > DIVERGENCE_FACTOR * max(1.0, first_loss):
+                blow_up = (steps_done + 1, bwd.loss)
             loss_sum += bwd.loss
-            if correct is not None:
-                correct += bwd.correct
+            correct += bwd.correct
             steps_done += 1
+        # A finite blow-up is reported at the end of its epoch, naming its
+        # first step over the bound, so that a failed solve or a non-finite
+        # loss later in that epoch keeps its more specific report.
+        if blow_up is not None:
+            raise TrainingError(
+                f"epoch {epoch + 1}, step {blow_up[0]}: loss {blow_up[1]:.3g} exceeds "
+                f"{DIVERGENCE_FACTOR:g} x max(1, first step loss {first_loss:.3g}); "
+                f"the run diverged")
         runner.end_epoch()
         wall_ms = (time.perf_counter() - start) * 1e3
         times.append(wall_ms)
 
-        mean_loss = loss_sum / max(len(plan), 1)
-        train_acc = None if correct is None else correct / max(len(plan) * cfg.batch_size, 1)
+        mean_loss = loss_sum / len(plan)
+        train_acc = correct / (len(plan) * cfg.batch_size)
         final["train_loss"] = mean_loss
         if writer is not None:
             writer.row(epoch + 1, steps_done, "train", mean_loss, train_acc, wall_ms)
@@ -296,37 +315,41 @@ def _train_loop(cfg: TrainConfig, train_ds: data.Dataset,
             test_loss, test_acc = evaluate(net, test_ds, cfg.batch_size)
             eval_ms = (time.perf_counter() - t0) * 1e3
             final["test_loss"] = test_loss
-            if test_acc is not None:
-                final["test_accuracy"] = test_acc
+            final["test_accuracy"] = test_acc
             if writer is not None:
                 writer.row(epoch + 1, steps_done, "test", test_loss, test_acc, eval_ms)
-            if test_acc is not None:
-                line += f" test_acc={test_acc:.4f}"
+            line += f" test_acc={test_acc:.4f}"
         if log is not None:
             log(line + f" ({wall_ms:.1f} ms)")
-    _, train_acc = evaluate(net, train_ds, cfg.batch_size)
-    if train_acc is not None:
-        final["train_accuracy"] = train_acc
+    final["train_accuracy"] = evaluate(net, train_ds, cfg.batch_size)[1]
     return TrainResult(None, final, times, net, runner.table)
 
 
 def run_train(cfg: TrainConfig, load_coeffs=None, log=None) -> TrainResult:
     """Train once per the config; write metrics and optional coefficients.
 
-    A loaded coefficient table is checked against the network before any
-    data is read or any output is written.
+    Every check is made before the first output: a loaded table is
+    checked against the network before any data is read, and the splits
+    are checked against the network before the metrics file is opened.
     """
-    if load_coeffs is not None and cfg.optim.kind not in SHARING:
-        raise ValueError(f"loaded coefficients only apply to fngd, not {cfg.optim.kind}")
+    kind = cfg.optim.kind
+    net = build_network(cfg.model, cfg.seed)
     table = None
-    if load_coeffs:
+    if load_coeffs is not None:
+        if kind not in SHARING:
+            raise ValueError(f"loaded coefficients only apply to fngd, not {kind}")
         table = core.CoefficientTable.load(load_coeffs)
-        _check_loaded_table(table, build_network(cfg.model, cfg.seed), cfg.batch_size,
-                            load_coeffs)
+        _check_loaded_table(table, net, cfg.batch_size, load_coeffs)
+    elif kind in SHARING and cfg.epochs < 2:
+        raise ConfigError(
+            f"train.epochs: {kind} needs at least 2 epochs (epoch one computes "
+            f"the shared coefficients), got {cfg.epochs}"
+        )
     train_ds, test_ds = load_datasets(cfg)
-    writer = _MetricsWriter(cfg.metrics_path, cfg.optim.kind)
+    _check_splits(cfg, net, train_ds, test_ds)
+    writer = _MetricsWriter(cfg.metrics_path, kind)
     try:
-        result = _train_loop(cfg, train_ds, test_ds, writer, table=table, log=log)
+        result = _train_loop(cfg, net, train_ds, test_ds, writer, table=table, log=log)
     finally:
         writer.close()
     result.metrics_path = cfg.metrics_path
@@ -363,14 +386,18 @@ def run_bench(cfg: TrainConfig, log=None) -> Path:
     training split's when there is no test split.
     """
     if cfg.epochs < 4:
-        raise ValueError(f"bench needs at least 4 epochs for stable medians, got {cfg.epochs}")
+        raise ConfigError(f"train.epochs: bench needs at least 4 epochs for stable "
+                          f"medians, got {cfg.epochs}")
+    net = build_network(cfg.model, cfg.seed)
     train_ds, test_ds = load_datasets(cfg)
+    _check_splits(cfg, net, train_ds, test_ds)
     rows = []
     for variant, kind, fields in BENCH_VARIANTS:
         cfg_v = replace(cfg, optim=replace(cfg.optim, kind=kind, **fields))
-        result = _train_loop(cfg_v, train_ds, test_ds, writer=None)
+        result = _train_loop(cfg_v, build_network(cfg.model, cfg.seed), train_ds, test_ds,
+                             writer=None)
         times = result.epoch_times_ms
-        acc = result.final.get("test_accuracy", result.final.get("train_accuracy"))
+        acc = result.final.get("test_accuracy", result.final["train_accuracy"])
         if kind in SHARING:
             phases = [("epoch1", [times[0]]), ("shared", times[1:])]
         else:
@@ -386,9 +413,8 @@ def run_bench(cfg: TrainConfig, log=None) -> Path:
                  "final_test_accuracy\n")
         for variant, kind, phase, n_timed, med, acc in rows:
             ratio = med / sgd_median
-            acc_s = "" if acc is None else f"{acc:.4f}"
-            fh.write(f"{variant},{kind},{phase},{n_timed},{med:.3f},{ratio:.3f},{acc_s}\n")
+            fh.write(f"{variant},{kind},{phase},{n_timed},{med:.3f},{ratio:.3f},{acc:.4f}\n")
             if log is not None:
                 log(f"{variant:14s} {phase:7s} median {med:9.2f} ms  {ratio:5.2f}x sgd"
-                    f"  acc={acc_s}")
+                    f"  acc={acc:.4f}")
     return out

@@ -209,7 +209,7 @@ def _fidelity_cfg(kind, lr, seed, tmp_path, alpha=0.5):
         dataset=DatasetSpec(kind="synthetic", n=2000, features=20, classes=2,
                             test_n=400),
         model=ModelSpec((20,), (LayerSpec("dense", (20, 32)), LayerSpec("relu"),
-                                LayerSpec("dense", (32, 2))), "cross_entropy"),
+                                LayerSpec("dense", (32, 2)))),
         optim=OptimSpec(kind=kind, lr=lr, alpha=alpha),
         epochs=15,
         batch_size=64,
@@ -241,7 +241,7 @@ def test_criterion_08_timing_structure(tmp_path):
         dataset=DatasetSpec(kind="synthetic", n=2560, features=784, classes=10,
                             test_n=256),
         model=ModelSpec((784,), (LayerSpec("dense", (784, 256)), LayerSpec("relu"),
-                                 LayerSpec("dense", (256, 10))), "cross_entropy"),
+                                 LayerSpec("dense", (256, 10)))),
         optim=OptimSpec(kind="fngd", lr=0.05),
         epochs=6,
         batch_size=128,

@@ -236,9 +236,35 @@ def test_test_split_feature_mismatch_exits_2_before_any_step(tmp_path, out_dir, 
     assert captured.out == ""
     assert captured.err == ("error: dataset.test_images: network expects 16 features, "
                             "test split provides 25\n")
-    # the header alone: not one train row
-    assert (out_dir / "metrics.csv").read_text().splitlines() == [
-        f"# {METRICS_VERSION} wall_ms=nondeterministic", ",".join(METRICS_COLUMNS)]
+    assert not out_dir.exists()
+
+
+SETUP_REFUSALS = {
+    "model.layer[2]": ("layer = dense 5 4\nlayer = relu\nlayer = dense 4 2",
+                       "layer = dense 5 8\nlayer = relu\nlayer = dense 9 2"),
+    "model.input": ("features = 5", "features = 6"),
+    "train.batch_size": ("batch_size = 8", "batch_size = 500"),
+    "train.milestones": ("seed = 3", "seed = 3\nmilestones = 0.75 0.5"),
+    "dataset.classes": ("classes = 2", "classes = 4"),
+    "model.loss": ("layer = dense 4 2", "layer = dense 4 2\nloss = squared_error"),
+}
+
+
+@pytest.mark.parametrize("key, command", [
+    *((key, "train") for key in SETUP_REFUSALS),
+    ("train.batch_size", "bench"),
+])
+def test_setup_refusal_names_the_key_before_any_output(key, command, tmp_path, out_dir,
+                                                        capsys):
+    # four epochs, so that bench gets past its own epoch minimum
+    text = CFG.replace("epochs = 2", "epochs = 4").replace(*SETUP_REFUSALS[key])
+    assert main([command, "--config", str(_write_cfg(tmp_path, text))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {key}: ")
+    assert not out_dir.exists()
 
 
 def test_non_finite_loss_names_epoch_and_step_and_exits_3(tmp_path, out_dir, capsys):
@@ -265,6 +291,24 @@ def test_diverging_run_prints_one_error_line_and_no_warnings(tmp_path):
     err = proc.stderr.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: epoch 1, step")
+
+
+def test_finite_blow_up_names_epoch_and_step_and_exits_3(tmp_path, out_dir, capsys):
+    # with almost no damping a huge step blows the conv run up by many
+    # orders of magnitude while every loss stays finite
+    text = CFG.replace("n = 40", "n = 256").replace("features = 5", "features = 72")
+    text = text.replace("input = 5\nlayer = dense 5 4\nlayer = relu\nlayer = dense 4 2",
+                        "input = 2 6 6\nlayer = conv 2 4 3 same\nlayer = relu\n"
+                        "layer = dense 144 2")
+    text = text.replace("lr = 0.5", "lr = 1e6\nfixed_damping = 1e-12")
+    text = text.replace("batch_size = 8", "batch_size = 32")
+    assert main(["train", "--config", str(_write_cfg(tmp_path, text))]) == 3
+    captured = capsys.readouterr()
+    assert "metrics written to" not in captured.out
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert re.fullmatch(r"error: epoch \d+, step \d+: loss \S+ exceeds 1e\+06 x max\(1, "
+                        r"first step loss \S+\); the run diverged", err[0])
 
 
 def test_failed_solve_names_epoch_and_step_and_exits_3(tmp_path, out_dir, capsys):

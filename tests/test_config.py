@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fngd import data
+from fngd import data, train
 from fngd.config import ConfigError, load_train_config, parse_config
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -84,7 +84,6 @@ def test_full_config_loads(tmp_path):
     assert cfg.model.input_shape == (5,)
     assert [l.kind for l in cfg.model.layers] == ["dense", "relu", "dense"]
     assert cfg.model.layers[0].dims == (5, 4)
-    assert cfg.model.loss == "cross_entropy"
     assert cfg.optim.kind == "fngd"
     assert cfg.optim.lr == 0.5
     assert cfg.optim.alpha == 0.005
@@ -136,7 +135,8 @@ def test_nobias_dense(tmp_path):
         (("lr = 0.5", "lr = fast"), r"train\.lr: bad value 'fast'"),
         (("epochs = 3", "epochs = 0"), r"train\.epochs: must be positive"),
         (("batch_size = 10", "batch_size = 1"), r"fngd needs at least 2 samples"),
-        (("epochs = 3", "epochs = 1"), r"fngd needs at least 2 epochs"),
+        (("seed = 1", "seed = 1\nmilestones = 0.75 0.5"),
+         r"train\.milestones: fractions must be ascending"),
         (("seed = 1", "seed = 1\nmilestones = 0.5 1.5"), r"train\.milestones: fractions"),
         (("seed = 1", "seed = 1\nlr_decay = 0"), r"train\.lr_decay: must be in"),
         (("seed = 1", "seed = 1\nalpha = -1"), r"train\.alpha: must be positive"),
@@ -145,6 +145,12 @@ def test_nobias_dense(tmp_path):
         (("seed = 1", "seed = 1\nfixed_damping = -1"),
          r"train\.fixed_damping: must be positive"),
         (("seed = 1", "seed = 1\nlam_floor = 0"), r"train\.lam_floor: must be positive"),
+        (("seed = 1", "seed = 1\nmomentum = -3"), r"train\.momentum: must be in \[0, 1\)"),
+        (("seed = 1", "seed = 1\nbeta1 = 1"), r"train\.beta1: must be in \[0, 1\)"),
+        (("seed = 1", "seed = 1\nbeta2 = 1.0"), r"train\.beta2: must be in \[0, 1\)"),
+        (("seed = 1", "seed = 1\neps = 0"), r"train\.eps: must be positive"),
+        (("seed = 1", "seed = 1\nweight_decay = -0.1"),
+         r"train\.weight_decay: must be non-negative"),
     ],
 )
 def test_loader_errors_name_section_and_key(tmp_path, mangle, message):
@@ -177,7 +183,6 @@ def test_readme_config_example_loads(tmp_path):
     block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
     cfg = load_train_config(_write(tmp_path, block))
     assert cfg.dataset.kind == "synthetic"
-    assert cfg.model.loss == "cross_entropy"
     assert cfg.optim.kind == "fngd"
     assert cfg.optim.alpha == 0.5
     assert cfg.milestones == (0.5, 0.75)
@@ -202,7 +207,7 @@ def test_loader_model_errors(tmp_path):
     with pytest.raises(ConfigError, match=r"model\.layer\[1\]: unknown layer kind"):
         load_train_config(_write(tmp_path, bad_kind))
     bad_loss = BASE.replace("[train]", "loss = hinge\n[train]")
-    with pytest.raises(ConfigError, match=r"model\.loss: unknown loss"):
+    with pytest.raises(ConfigError, match=r"model\.loss: only cross_entropy trains"):
         load_train_config(_write(tmp_path, bad_loss))
     no_layers = BASE.replace("layer = dense 5 4\nlayer = relu\nlayer = dense 4 2", "")
     with pytest.raises(ConfigError, match=r"model\.layer: need at least one"):
@@ -218,13 +223,25 @@ def test_repeated_scalar_key_rejected(tmp_path):
         load_train_config(_write(tmp_path, text))
 
 
-def test_loaded_coeffs_relax_epoch_minimum(tmp_path):
-    text = BASE.replace("epochs = 3", "epochs = 1")
-    path = _write(tmp_path, text)
-    with pytest.raises(ConfigError, match="at least 2 epochs"):
-        load_train_config(path)
-    cfg = load_train_config(path, expect_loaded_coeffs=True)
-    assert cfg.epochs == 1
+def test_loaded_coeffs_relax_epoch_minimum(tmp_path, monkeypatch):
+    # the rule needs to know whether a table is loaded, so run_train
+    # applies it, still before any data is read
+    saving = load_train_config(_write(tmp_path, BASE + "\n[output]\ncoeffs = coeffs.csv\n"),
+                               out_dir=tmp_path / "first")
+    train.run_train(saving)
+    path = _write(tmp_path, BASE.replace("epochs = 3", "epochs = 1"))
+    resumed = train.run_train(load_train_config(path, out_dir=tmp_path / "resumed"),
+                              load_coeffs=saving.coeffs_path)
+    assert len(resumed.epoch_times_ms) == 1
+
+    def no_data(cfg):
+        raise AssertionError("data was read before the epoch check")
+
+    monkeypatch.setattr(train, "load_datasets", no_data)
+    cfg = load_train_config(path, out_dir=tmp_path / "second")
+    with pytest.raises(ConfigError, match=r"^train\.epochs: fngd needs at least 2 epochs"):
+        train.run_train(cfg)
+    assert not (tmp_path / "second").exists()
 
 
 def test_sgd_allows_single_sample_batches(tmp_path):

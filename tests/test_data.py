@@ -109,12 +109,12 @@ def test_dataset_validation():
         data.Dataset(x, np.zeros(5, dtype=np.int64))
     with pytest.raises(ValueError, match="class index out of range"):
         data.Dataset(x, np.array([0, 1, 2, 3]), num_classes=3)
-    with pytest.raises(ValueError, match="target columns"):
+    with pytest.raises(ValueError, match="1-D vector of class indices"):
         data.Dataset(x, np.zeros((2, 5)))
     with pytest.raises(ValueError, match="finite"):
         data.Dataset(np.full((2, 2), np.nan), np.zeros(2, dtype=np.int64))
     ds = data.Dataset(x, np.zeros(4, dtype=np.int64), num_classes=2)
-    assert ds.n == 4 and ds.feature_dim == 3 and ds.is_classification
+    assert ds.n == 4 and ds.feature_dim == 3
 
 
 # ------------------------------------------------- synthetic_classification

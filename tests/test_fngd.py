@@ -4,6 +4,8 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fngd import core, linalg, nn, persample
 
@@ -286,6 +288,39 @@ def test_precondition_explicit_u_matches_weighted_route():
     assert np.abs(fast2 - slow2).max() <= 1e-12 * max(1.0, np.abs(fast2).max())
 
 
+def _check_explicit_u_equals_routes(cap, c, chunk, u=None):
+    """precondition_explicit_u, in chunks of `chunk` samples, against the
+    weighted-input route and, given u, the U route; errors are relative
+    to |Z| diag(|c|) |X|^T, the size of the terms each entry sums."""
+    o, i = cap.z.shape[0], cap.x.shape[0]
+    terms = (np.abs(cap.z) * np.abs(c)).reshape(o, -1) @ np.abs(cap.x).reshape(i, -1).T
+    scale = max(float(terms.max()), 1e-300)
+    slow = core.precondition_explicit_u(cap, c, max_bytes=o * i * 8 * chunk)
+    routes = [core.precondition(cap, c)] + ([] if u is None else [core.precondition(cap, c, u=u)])
+    for fast in routes:
+        assert float(np.abs(fast - slow).max()) <= 1e-12 * scale
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 9), st.integers(1, 9),
+       st.integers(0, 10_000))
+def test_explicit_u_equals_weighted_input_on_dense_layers(out_dim, in_dim, m, chunk, seed):
+    cap = _dense_capture(seed, out_dim=out_dim, in_dim=in_dim, m=m)
+    _check_explicit_u_equals_routes(cap, _rng(seed + 1).standard_normal(m), chunk)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(1, 4), st.integers(1, 3), st.sampled_from([1, 3, 5]),
+       st.sampled_from(["same", "valid"]), st.integers(5, 7), st.integers(5, 7),
+       st.integers(1, 8), st.integers(1, 8), st.integers(0, 10_000))
+def test_explicit_u_equals_both_routes_on_conv_layers(o, c, k, padding, h, w, m, chunk,
+                                                       seed):
+    cap = _conv_capture(seed, o=o, c=c, k=k, h=h, w=w, m=m, padding=padding)
+    u = persample.gram(cap).u
+    assert u is not None  # one block under the default budget: the Gram kept U
+    _check_explicit_u_equals_routes(cap, _rng(seed + 1).standard_normal(m), chunk, u=u)
+
+
 def test_precondition_validation():
     cap = _dense_capture(11)
     with pytest.raises(ValueError, match="does not match batch"):
@@ -446,6 +481,28 @@ def test_table_save_load_bitwise(tmp_path):
         lv, llam = loaded.shared_for(layer)
         assert np.array_equal(v, lv)
         assert lam == llam
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.dictionaries(
+    st.integers(0, 50),
+    st.tuples(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                       min_size=1, max_size=8),
+              st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
+    min_size=1, max_size=4))
+def test_table_save_load_bitwise_for_any_finite_values(tmp_path_factory, layers):
+    table = core.CoefficientTable()
+    for layer, (v, lam) in layers.items():
+        table.accumulate(layer, np.array(v), lam=lam)
+    table.finalize()
+    path = tmp_path_factory.mktemp("table") / "coeffs.csv"
+    table.save(path)
+    loaded = core.CoefficientTable.load(path)
+    assert sorted(loaded.shared) == sorted(layers)
+    for layer, (v, lam) in layers.items():
+        lv, llam = loaded.shared_for(layer)
+        assert lv.tobytes() == np.array(v).tobytes()
+        assert np.float64(llam).tobytes() == np.float64(lam).tobytes()
 
 
 def test_table_save_requires_finalized(tmp_path):

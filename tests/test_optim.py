@@ -3,7 +3,6 @@
 import copy
 
 import numpy as np
-import pytest
 
 from fngd import core, linalg, nn, optim
 
@@ -126,37 +125,25 @@ def test_ngd_solves_every_step_and_shared_step_never_solves(monkeypatch):
 # --------------------------------------------------------------- schedule
 
 def test_schedule_default_milestones_hand_values():
-    sched = optim.make_lr_schedule(0.2, epochs=100)
-    assert sched.milestones == (50, 75)
-    assert optim.schedule_lr(sched, 0) == 0.2
-    assert optim.schedule_lr(sched, 49) == 0.2
-    assert abs(optim.schedule_lr(sched, 50) - 0.02) <= 1e-16
-    assert abs(optim.schedule_lr(sched, 74) - 0.02) <= 1e-16
-    assert abs(optim.schedule_lr(sched, 75) - 0.002) <= 1e-17
-    assert abs(optim.schedule_lr(sched, 99) - 0.002) <= 1e-17
+    rates = optim.lr_schedule(0.2, 100, (0.5, 0.75), 0.1)
+    assert [e for e in range(1, 100) if rates[e] != rates[e - 1]] == [50, 75]
+    assert rates[0] == 0.2
+    assert rates[49] == 0.2
+    assert abs(rates[50] - 0.02) <= 1e-16
+    assert abs(rates[74] - 0.02) <= 1e-16
+    assert abs(rates[75] - 0.002) <= 1e-17
+    assert abs(rates[99] - 0.002) <= 1e-17
 
 
 def test_schedule_short_run_starts_at_base_lr():
     # int(f * epochs) is 0 for every fraction of a one-epoch run; a
     # milestone there would decay the lr before the first step
-    sched = optim.make_lr_schedule(0.1, epochs=1)
-    assert sched.milestones == (1, 1)
-    assert optim.schedule_lr(sched, 0) == 0.1
-    assert optim.make_lr_schedule(0.1, epochs=2).milestones == (1, 1)
-    assert optim.make_lr_schedule(0.1, epochs=3).milestones == (1, 2)
-
-
-def test_schedule_validation():
-    with pytest.raises(ValueError, match="base_lr"):
-        optim.LrSchedule(0.0)
-    with pytest.raises(ValueError, match="decay"):
-        optim.LrSchedule(0.1, decay=0.0)
-    with pytest.raises(ValueError, match="ascending"):
-        optim.LrSchedule(0.1, milestones=(5, 3))
-    with pytest.raises(ValueError, match="non-negative"):
-        optim.LrSchedule(0.1, milestones=(-1,))
+    assert optim.lr_schedule(0.1, 1, (0.5, 0.75), 0.1) == [0.1]
+    # both milestones at epoch 1 for two epochs, at epochs 1 and 2 for three
+    assert optim.lr_schedule(0.1, 2, (0.5, 0.75), 0.1) == [0.1, 0.1 * 0.1 ** 2]
+    assert optim.lr_schedule(0.1, 3, (0.5, 0.75), 0.1) == [0.1, 0.1 * 0.1, 0.1 * 0.1 ** 2]
 
 
 def test_schedule_no_decay_is_constant():
-    sched = optim.LrSchedule(0.3, milestones=(2, 4), decay=1.0)
-    assert all(optim.schedule_lr(sched, e) == 0.3 for e in range(6))
+    # milestones at epochs 2 and 4
+    assert optim.lr_schedule(0.3, 6, (0.4, 0.7), 1.0) == [0.3] * 6

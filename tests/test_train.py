@@ -171,16 +171,3 @@ def test_final_train_accuracy_evaluates_the_trained_weights(tmp_path):
     result = train.run_train(cfg)
     train_ds, _ = train.load_datasets(cfg)
     assert result.final["train_accuracy"] == evaluate(result.net, train_ds, BATCH)[1]
-
-
-@pytest.mark.parametrize("kind", ["sgd", "fngd"])
-def test_squared_error_run_leaves_train_accuracy_empty(tmp_path, monkeypatch, kind):
-    cfg = _load(tmp_path, kind, loss="squared_error")
-    rng = _rng(9)
-    regression = data.Dataset(rng.standard_normal((5, 44)), rng.standard_normal((3, 44)))
-    monkeypatch.setattr(train, "load_datasets", lambda cfg: (regression, None))
-    result = train.run_train(cfg)
-    rows = _rows(cfg, "train")
-    assert len(rows) == EPOCHS
-    assert all(r["accuracy"] == "" for r in rows)
-    assert "train_accuracy" not in result.final
