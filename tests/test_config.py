@@ -135,8 +135,7 @@ def test_nobias_dense(tmp_path):
         (("lr = 0.5", "lr = fast"), r"train\.lr: bad value 'fast'"),
         (("epochs = 3", "epochs = 0"), r"train\.epochs: must be positive"),
         (("batch_size = 10", "batch_size = 1"), r"fngd needs at least 2 samples"),
-        (("seed = 1", "seed = 1\nmilestones = 0.75 0.5"),
-         r"train\.milestones: fractions must be ascending"),
+        (("epochs = 3", "epochs = 1"), r"fngd needs at least 2 epochs"),
         (("seed = 1", "seed = 1\nmilestones = 0.5 1.5"), r"train\.milestones: fractions"),
         (("seed = 1", "seed = 1\nlr_decay = 0"), r"train\.lr_decay: must be in"),
         (("seed = 1", "seed = 1\nalpha = -1"), r"train\.alpha: must be positive"),
@@ -151,13 +150,25 @@ def test_nobias_dense(tmp_path):
         (("seed = 1", "seed = 1\neps = 0"), r"train\.eps: must be positive"),
         (("seed = 1", "seed = 1\nweight_decay = -0.1"),
          r"train\.weight_decay: must be non-negative"),
+        (("seed = 1", "seed = 1\nmilestones = 0.75 0.5"),
+         r"train\.milestones: fractions must be ascending"),
     ],
 )
-def test_loader_errors_name_section_and_key(tmp_path, mangle, message):
+def test_loader_errors_name_section_and_key(tmp_path, mangle, message, monkeypatch):
+    # most cases fail in the loader; the epoch minimum depends on whether a
+    # table is loaded, so run_train applies it, still before any data is read
     old, new = mangle
     assert old in BASE
+
+    def no_data(cfg):
+        raise AssertionError("data was read before the config was refused")
+
+    monkeypatch.setattr(train, "load_datasets", no_data)
     with pytest.raises(ConfigError, match=message):
-        load_train_config(_write(tmp_path, BASE.replace(old, new)))
+        cfg = load_train_config(_write(tmp_path, BASE.replace(old, new)),
+                                out_dir=tmp_path / "out")
+        train.run_train(cfg)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -223,9 +234,8 @@ def test_repeated_scalar_key_rejected(tmp_path):
         load_train_config(_write(tmp_path, text))
 
 
-def test_loaded_coeffs_relax_epoch_minimum(tmp_path, monkeypatch):
-    # the rule needs to know whether a table is loaded, so run_train
-    # applies it, still before any data is read
+def test_loaded_coeffs_relax_epoch_minimum(tmp_path):
+    # the refusal without a table is case 6 of test_loader_errors_name_section_and_key
     saving = load_train_config(_write(tmp_path, BASE + "\n[output]\ncoeffs = coeffs.csv\n"),
                                out_dir=tmp_path / "first")
     train.run_train(saving)
@@ -233,15 +243,6 @@ def test_loaded_coeffs_relax_epoch_minimum(tmp_path, monkeypatch):
     resumed = train.run_train(load_train_config(path, out_dir=tmp_path / "resumed"),
                               load_coeffs=saving.coeffs_path)
     assert len(resumed.epoch_times_ms) == 1
-
-    def no_data(cfg):
-        raise AssertionError("data was read before the epoch check")
-
-    monkeypatch.setattr(train, "load_datasets", no_data)
-    cfg = load_train_config(path, out_dir=tmp_path / "second")
-    with pytest.raises(ConfigError, match=r"^train\.epochs: fngd needs at least 2 epochs"):
-        train.run_train(cfg)
-    assert not (tmp_path / "second").exists()
 
 
 def test_sgd_allows_single_sample_batches(tmp_path):
