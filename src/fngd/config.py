@@ -29,7 +29,7 @@ __all__ = [
     "load_train_config",
 ]
 
-OPTIMIZERS = ("sgd", "sgd_momentum", "adamw", "ngd_smw", "fngd", "fngd_explicit")
+OPTIMIZERS = ("sgd", "sgd_momentum", "ngd_smw", "fngd", "fngd_explicit")
 # Optimizers whose steps build each layer's per-sample gradient Gram.
 PRECONDITIONED = ("ngd_smw", "fngd", "fngd_explicit")
 # Optimizers that build a coefficient table in epoch one and share it after.
@@ -99,10 +99,6 @@ class OptimSpec:
     kind: str
     lr: float = 0.1
     momentum: float = 0.9
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.0
     alpha: float = 0.005
     lam_floor: float = 1e-12
     fixed_damping: float | None = None
@@ -288,10 +284,6 @@ def load_train_config(path, out_dir=None) -> TrainConfig:
         kind=kind,
         lr=_one(sections, "train", "lr", default=0.1, cast=float),
         momentum=_one(sections, "train", "momentum", default=0.9, cast=float),
-        beta1=_one(sections, "train", "beta1", default=0.9, cast=float),
-        beta2=_one(sections, "train", "beta2", default=0.999, cast=float),
-        eps=_one(sections, "train", "eps", default=1e-8, cast=float),
-        weight_decay=_one(sections, "train", "weight_decay", default=0.0, cast=float),
         alpha=_one(sections, "train", "alpha", default=0.005, cast=float),
         lam_floor=_one(sections, "train", "lam_floor", default=1e-12, cast=float),
         fixed_damping=_one(sections, "train", "fixed_damping", default=None, cast=float),
@@ -306,15 +298,8 @@ def load_train_config(path, out_dir=None) -> TrainConfig:
         raise ConfigError(
             f"train.fixed_damping: must be positive, got {optim.fixed_damping}"
         )
-    for key in ("momentum", "beta1", "beta2"):
-        value = getattr(optim, key)
-        if not 0.0 <= value < 1.0:
-            raise ConfigError(f"train.{key}: must be in [0, 1), got {value}")
-    if optim.eps <= 0.0:
-        raise ConfigError(f"train.eps: must be positive, got {optim.eps}")
-    if optim.weight_decay < 0.0:
-        raise ConfigError(
-            f"train.weight_decay: must be non-negative, got {optim.weight_decay}")
+    if not 0.0 <= optim.momentum < 1.0:
+        raise ConfigError(f"train.momentum: must be in [0, 1), got {optim.momentum}")
 
     epochs = _one(sections, "train", "epochs", default=_REQUIRED, cast=int)
     batch_size = _one(sections, "train", "batch_size", default=_REQUIRED, cast=int)

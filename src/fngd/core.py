@@ -31,6 +31,7 @@ position, so U c has one weighted-input route for both layer kinds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -89,8 +90,8 @@ def damping_lambda(stats: persample.GramStats, rule: DampingRule) -> float:
 
 def coefficients(stats: persample.GramStats, lam: float) -> np.ndarray:
     """Length-M weights c such that the preconditioned gradient is (1/lam) U c."""
-    if lam <= 0.0:
-        raise ValueError(f"damping must be positive, got {lam}")
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"damping must be positive and finite, got {lam}")
     m = stats.batch
     a = stats.gram / m + lam * np.eye(m)
     return (lam / m) * linalg.solve_spd(a, np.ones(m))
@@ -295,17 +296,21 @@ def preconditioned_step(net: nn.Network, x, y, eta: float, rule: DampingRule | N
                     f"layer {i}: shared coefficients cover batches of {c.shape[0]}, got {m}"
                 )
         else:
-            stats = persample.gram(cap)
-            lam = damping_lambda(stats, rule)
+            # A diverging run can make the Gram, lambda or c non-finite; the
+            # error names the layer, and the training loop adds epoch and step.
             try:
+                stats = persample.gram(cap)
+                lam = damping_lambda(stats, rule)
                 c = coefficients(stats, lam)
+                if table is not None:
+                    table.accumulate(i, c, lam)
             except linalg.NotSPDError as exc:
                 raise RuntimeError(
                     f"coefficient solve failed at layer {i} (pivot {exc.pivot})"
                 ) from exc
+            except ValueError as exc:
+                raise RuntimeError(f"layer {i}: {exc}") from exc
             u = stats.u
-            if table is not None:
-                table.accumulate(i, c, lam)
         if explicit_u:
             d = precondition_explicit_u(cap, c)
         else:

@@ -25,7 +25,6 @@ __all__ = [
     "gram_dense",
     "build_u_conv",
     "gram_conv",
-    "per_sample_grad_dense",
 ]
 
 DEFAULT_U_BUDGET_BYTES = 64 * 1024 * 1024
@@ -119,15 +118,3 @@ def gram(capture: LayerCapture,
     for lo in range(width, capture.z.shape[0], width):
         g += gram_conv(build_u_conv(capture, slice(lo, lo + width))).gram
     return GramStats(g)
-
-
-def per_sample_grad_dense(capture: LayerCapture, m: int) -> np.ndarray:
-    """Weight gradient of one sample of a dense layer: outer(z_m, x_m)."""
-    if capture.kind != "dense":
-        raise ValueError(f"expected a dense capture, got {capture.kind!r}")
-    if capture.z is None:
-        raise ValueError(f"layer {capture.layer} capture has no Z; run backward first")
-    batch = capture.z.shape[1]
-    if not 0 <= m < batch:
-        raise IndexError(f"sample index {m} out of range for batch of {batch}")
-    return np.outer(capture.z[:, m], capture.x[:, m])

@@ -154,9 +154,6 @@ class _Runner:
             self.table = table if table is not None else core.CoefficientTable()
         if self.kind == "sgd_momentum":
             self.state = optim.MomentumState(beta=o.momentum)
-        elif self.kind == "adamw":
-            self.state = optim.AdamWState(beta1=o.beta1, beta2=o.beta2, eps=o.eps,
-                                          weight_decay=o.weight_decay)
 
     def step(self, x: np.ndarray, y, lr: float) -> nn.BackwardPass:
         if self.kind in SHARING:
@@ -174,10 +171,8 @@ class _Runner:
         params = self.net.parameters()
         if self.kind == "sgd":
             optim.sgd_step(params, grads, lr)
-        elif self.kind == "sgd_momentum":
-            optim.sgd_momentum_step(self.state, params, grads, lr)
         else:
-            optim.adamw_step(self.state, params, grads, lr)
+            optim.sgd_momentum_step(self.state, params, grads, lr)
         return bwd
 
     def end_epoch(self) -> None:
@@ -388,6 +383,9 @@ def run_bench(cfg: TrainConfig, log=None) -> Path:
     if cfg.epochs < 4:
         raise ConfigError(f"train.epochs: bench needs at least 4 epochs for stable "
                           f"medians, got {cfg.epochs}")
+    if cfg.batch_size < 2:
+        raise ConfigError(f"train.batch_size: bench trains natural-gradient variants, "
+                          f"which need at least 2 samples per batch, got {cfg.batch_size}")
     net = build_network(cfg.model, cfg.seed)
     train_ds, test_ds = load_datasets(cfg)
     _check_splits(cfg, net, train_ds, test_ds)

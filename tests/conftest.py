@@ -33,6 +33,16 @@ def _fd_grad(loss_fn, param):
     return g
 
 
+def _per_sample_grad_dense(capture, m):
+    """Weight gradient of sample m of a dense layer, outer(z_m, x_m): an
+    oracle for the dense Gram and preconditioning routes, which never
+    form it."""
+    batch = capture.z.shape[1]
+    if not 0 <= m < batch:
+        raise IndexError(f"sample index {m} out of range for batch of {batch}")
+    return np.outer(capture.z[:, m], capture.x[:, m])
+
+
 @pytest.fixture
 def rel_err():
     return _rel_err
@@ -41,3 +51,8 @@ def rel_err():
 @pytest.fixture
 def fd_grad():
     return _fd_grad
+
+
+@pytest.fixture
+def per_sample_grad_dense():
+    return _per_sample_grad_dense

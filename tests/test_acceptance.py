@@ -78,7 +78,7 @@ def _toy_net(rng):
     return nn.Network([conv, nn.Relu(), dense1, dense2], loss="cross_entropy")
 
 
-def test_criterion_03_per_sample_gradients_match_fd():
+def test_criterion_03_per_sample_gradients_match_fd(per_sample_grad_dense):
     t0 = time.perf_counter()
     worst = 0.0
     for seed in range(5):
@@ -92,7 +92,7 @@ def test_criterion_03_per_sample_gradients_match_fd():
             cap = fwd.captures[i]
             if cap.kind == "dense":
                 m = cap.z.shape[1]
-                u = np.stack([persample.per_sample_grad_dense(cap, j).ravel()
+                u = np.stack([per_sample_grad_dense(cap, j).ravel()
                               for j in range(m)], axis=1)
             else:
                 u = persample.build_u_conv(cap)
@@ -235,8 +235,19 @@ def test_criterion_07_sharing_fidelity(tmp_path):
              f"(gap {gap_sgdm * 100:.2f}pp), {dt:.0f}s")
 
 
-def test_criterion_08_timing_structure(tmp_path):
+def test_criterion_08_timing_structure(tmp_path, monkeypatch):
     t0 = time.perf_counter()
+    # each variant's epoch times, so that a failing verdict shows whether one
+    # burst of host load or a steady shift moved a median
+    epoch_ms = []
+    real_loop = train._train_loop
+
+    def recording(*args, **kwargs):
+        result = real_loop(*args, **kwargs)
+        epoch_ms.append(" ".join(f"{t:.0f}" for t in result.epoch_times_ms))
+        return result
+
+    monkeypatch.setattr(train, "_train_loop", recording)
     cfg = TrainConfig(
         dataset=DatasetSpec(kind="synthetic", n=2560, features=784, classes=10,
                             test_n=256),
@@ -261,10 +272,12 @@ def test_criterion_08_timing_structure(tmp_path):
     _verdict(8, "timing structure", ok,
              f"fngd-shared/sgd {shared_vs_sgd:.2f}x (need <=1.3), "
              f"ngd/fngd-shared {ngd_vs_shared:.2f}x (need >=1.5), "
-             f"explicit/weighted {explicit_vs_weighted:.2f}x (need >1), {dt:.0f}s")
+             f"explicit/weighted {explicit_vs_weighted:.2f}x (need >1), {dt:.0f}s; "
+             "epoch ms: " + ", ".join(f"{variant} {times}" for (variant, _, _), times
+                                      in zip(train.BENCH_VARIANTS, epoch_ms)))
 
 
-def test_criterion_09_degeneracy_suite():
+def test_criterion_09_degeneracy_suite(per_sample_grad_dense):
     t0 = time.perf_counter()
     rule = DampingRule(alpha=1e12)
     eta = 3e10
@@ -304,7 +317,7 @@ def test_criterion_09_degeneracy_suite():
         e = np.zeros(8)
         e[j] = 1.0
         got = core.precondition(cap, e)
-        want = persample.per_sample_grad_dense(cap, j)
+        want = per_sample_grad_dense(cap, j)
         selector_gap = max(selector_gap,
                            np.abs(got - want).max() / max(np.abs(want).max(), 1e-30))
 

@@ -250,14 +250,23 @@ SETUP_REFUSALS = {
 }
 
 
-@pytest.mark.parametrize("key, command", [
-    *((key, "train") for key in SETUP_REFUSALS),
-    ("train.batch_size", "bench"),
+@pytest.mark.parametrize("key, command, changes", [
+    *(pytest.param(key, "train", [change], id=f"{key}-train")
+      for key, change in SETUP_REFUSALS.items()),
+    pytest.param("train.batch_size", "bench", [SETUP_REFUSALS["train.batch_size"]],
+                 id="train.batch_size-bench"),
+    # the loader allows one sample per batch for sgd, but bench also
+    # trains the natural-gradient variants
+    pytest.param("train.batch_size", "bench",
+                 [("optimizer = fngd", "optimizer = sgd"), ("batch_size = 8", "batch_size = 1")],
+                 id="train.batch_size-bench-sgd"),
 ])
-def test_setup_refusal_names_the_key_before_any_output(key, command, tmp_path, out_dir,
-                                                        capsys):
+def test_setup_refusal_names_the_key_before_any_output(key, command, changes, tmp_path,
+                                                        out_dir, capsys):
     # four epochs, so that bench gets past its own epoch minimum
-    text = CFG.replace("epochs = 2", "epochs = 4").replace(*SETUP_REFUSALS[key])
+    text = CFG.replace("epochs = 2", "epochs = 4")
+    for change in changes:
+        text = text.replace(*change)
     assert main([command, "--config", str(_write_cfg(tmp_path, text))]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -293,15 +302,35 @@ def test_diverging_run_prints_one_error_line_and_no_warnings(tmp_path):
     assert err[0].startswith("error: epoch 1, step")
 
 
+# a conv run that a huge step sends to overflow within a few steps
+CONV_BLOW_UP = (
+    CFG.replace("n = 40", "n = 256").replace("features = 5", "features = 72")
+    .replace("input = 5\nlayer = dense 5 4\nlayer = relu\nlayer = dense 4 2",
+             "input = 2 6 6\nlayer = conv 2 4 3 same\nlayer = relu\nlayer = dense 144 2")
+    .replace("batch_size = 8", "batch_size = 32")
+)
+
+
+@pytest.mark.parametrize("lr, extra, message", [
+    # the weights overflow, and the conv layer's per-sample gradients with them
+    ("1e150", "fixed_damping = 1e-12",
+     "epoch 1, step 3: layer 0: matrix entries must all be finite"),
+    # the Gram stays finite, but its Frobenius norm, and lambda with it, overflow
+    ("1e100", "", "epoch 1, step 2: layer 0: damping must be positive and finite, got inf"),
+], ids=["gram", "damping"])
+def test_non_finite_layer_state_names_the_layer_and_exits_3(lr, extra, message, tmp_path,
+                                                            out_dir, capsys):
+    text = CONV_BLOW_UP.replace("lr = 0.5", f"lr = {lr}\n{extra}")
+    assert main(["train", "--config", str(_write_cfg(tmp_path, text))]) == 3
+    captured = capsys.readouterr()
+    assert "metrics written to" not in captured.out
+    assert captured.err == f"error: {message}\n"
+
+
 def test_finite_blow_up_names_epoch_and_step_and_exits_3(tmp_path, out_dir, capsys):
     # with almost no damping a huge step blows the conv run up by many
     # orders of magnitude while every loss stays finite
-    text = CFG.replace("n = 40", "n = 256").replace("features = 5", "features = 72")
-    text = text.replace("input = 5\nlayer = dense 5 4\nlayer = relu\nlayer = dense 4 2",
-                        "input = 2 6 6\nlayer = conv 2 4 3 same\nlayer = relu\n"
-                        "layer = dense 144 2")
-    text = text.replace("lr = 0.5", "lr = 1e6\nfixed_damping = 1e-12")
-    text = text.replace("batch_size = 8", "batch_size = 32")
+    text = CONV_BLOW_UP.replace("lr = 0.5", "lr = 1e6\nfixed_damping = 1e-12")
     assert main(["train", "--config", str(_write_cfg(tmp_path, text))]) == 3
     captured = capsys.readouterr()
     assert "metrics written to" not in captured.out

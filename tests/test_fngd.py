@@ -127,8 +127,9 @@ def test_coefficients_permutation_equivariance():
 
 
 def test_coefficients_rejects_bad_damping():
-    with pytest.raises(ValueError, match="positive"):
-        core.coefficients(_stats_from_u(np.eye(2)), 0.0)
+    for lam in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            core.coefficients(_stats_from_u(np.eye(2)), lam)
 
 
 def test_coefficient_route_matches_direct_solve(rel_err):
@@ -153,14 +154,14 @@ def test_precondition_uniform_weights_is_batch_gradient():
     assert np.abs(d - batch).max() <= 1e-14 * max(1.0, np.abs(batch).max())
 
 
-def test_precondition_onehot_selects_per_sample_gradient():
+def test_precondition_onehot_selects_per_sample_gradient(per_sample_grad_dense):
     cap = _dense_capture(7)
     m = cap.z.shape[1]
     for i in range(m):
         c = np.zeros(m)
         c[i] = 1.0
         d = core.precondition(cap, c)
-        want = persample.per_sample_grad_dense(cap, i)
+        want = per_sample_grad_dense(cap, i)
         assert np.abs(d - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 

@@ -31,42 +31,6 @@ def test_momentum_buffer_recurrence():
     assert abs(params["w"][0] - (-0.1 - 0.19)) <= 1e-15
 
 
-def test_adamw_decay_only_shrinks_geometrically():
-    state = optim.AdamWState(weight_decay=0.01)
-    w0 = 3.0
-    params = {"w": np.array([w0])}
-    zero = {"w": np.array([0.0])}
-    lr = 0.1
-    for _ in range(5):
-        optim.adamw_step(state, params, zero, lr)
-    assert abs(params["w"][0] - w0 * (1 - lr * 0.01) ** 5) <= 1e-12
-
-
-def test_adamw_first_step_is_signed_unit_step():
-    # bias correction makes mhat = g and vhat = g*g at t=1
-    state = optim.AdamWState(eps=0.0)
-    params = {"w": np.array([1.0, 1.0])}
-    optim.adamw_step(state, params, {"w": np.array([0.4, -0.01])}, lr=0.1)
-    assert np.abs(params["w"] - [0.9, 1.1]).max() <= 1e-12
-
-
-def test_adamw_gradient_scale_invariance():
-    rng = _rng(0)
-    grads = [rng.standard_normal(6) for _ in range(12)]
-    deltas = []
-    for scale in (1.0, 2.0):
-        state = optim.AdamWState(eps=1e-12)
-        params = {"w": np.zeros(6)}
-        last = None
-        for g in grads:
-            before = params["w"].copy()
-            optim.adamw_step(state, params, {"w": scale * g}, lr=0.05)
-            last = params["w"] - before
-        deltas.append(last)
-    diff = np.abs(deltas[0] - deltas[1]).max()
-    assert diff <= 1e-6 * np.abs(deltas[0]).max()
-
-
 # ---------------------------------------------------------------- ngd_smw
 
 def _toy(seed, m=4):

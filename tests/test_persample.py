@@ -229,32 +229,32 @@ def test_gram_conv_orthogonal_and_rank_one():
     assert np.array_equal(g2, 5.0 * np.ones((2, 2)))
 
 
-# --------------------------------------------------- per_sample_grad_dense
+# ------------------------------------- per_sample_grad_dense (test oracle)
 
-def test_per_sample_grad_hand_outer_product():
+def test_per_sample_grad_hand_outer_product(per_sample_grad_dense):
     cap = nn.LayerCapture(0, "dense", np.array([[1.0], [2.0]]))
     cap.z = np.array([[3.0]])
-    got = persample.per_sample_grad_dense(cap, 0)
+    got = per_sample_grad_dense(cap, 0)
     assert np.array_equal(got, [[3.0, 6.0]])
 
 
-def test_per_sample_grads_average_to_batch_gradient():
+def test_per_sample_grads_average_to_batch_gradient(per_sample_grad_dense):
     cap = _dense_capture(12)
     m = cap.z.shape[1]
-    mean = sum(persample.per_sample_grad_dense(cap, i) for i in range(m)) / m
+    mean = sum(per_sample_grad_dense(cap, i) for i in range(m)) / m
     batch = (cap.z @ cap.x.T) / m
     assert np.abs(mean - batch).max() <= 1e-12 * max(1.0, np.abs(batch).max())
 
 
-def test_per_sample_grad_is_khatri_rao_column():
+def test_per_sample_grad_is_khatri_rao_column(per_sample_grad_dense):
     cap = _dense_capture(13)
     u = linalg.khatri_rao(cap.z, cap.x)
     for m in range(cap.z.shape[1]):
-        got = persample.per_sample_grad_dense(cap, m).reshape(-1)
+        got = per_sample_grad_dense(cap, m).reshape(-1)
         assert np.array_equal(got, u[:, m])
 
 
-def test_per_sample_grad_index_error():
+def test_per_sample_grad_index_error(per_sample_grad_dense):
     cap = _dense_capture(14, m=3)
     with pytest.raises(IndexError, match="out of range"):
-        persample.per_sample_grad_dense(cap, 3)
+        per_sample_grad_dense(cap, 3)
