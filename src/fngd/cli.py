@@ -19,6 +19,17 @@ __all__ = ["main"]
 OUTPUT_DIR_ENV = "FNGD_OUTPUT_DIR"
 
 
+def _seed(text: str) -> int:
+    """A seed for numpy's PCG64, which refuses negative ones."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return seed
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fngd",
@@ -29,12 +40,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     train = sub.add_parser("train", help="train a model per a config file")
     train.add_argument("--config", required=True, help="path to the run config")
-    train.add_argument("--load-coeffs", default=None, metavar="FILE",
-                       help="reuse a saved coefficient table; skips the "
-                            "coefficient phase entirely")
 
     verify = sub.add_parser("verify", help="run the identity and convergence checks")
-    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--seed", type=_seed, default=0)
     verify.add_argument("--verbose", action="store_true",
                         help="also print each check's description")
 
@@ -70,7 +78,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_train_config(args.config, out_dir=out_dir)
         if args.command == "train":
-            result = run_train(cfg, load_coeffs=args.load_coeffs, log=print)
+            result = run_train(cfg, log=print)
             print(f"metrics written to {result.metrics_path}")
         else:
             out = run_bench(cfg, log=print)

@@ -98,7 +98,6 @@ class DatasetSpec:
 class OptimSpec:
     kind: str
     lr: float = 0.1
-    momentum: float = 0.9
     alpha: float = 0.005
     lam_floor: float = 1e-12
     fixed_damping: float | None = None
@@ -112,8 +111,6 @@ class TrainConfig:
     epochs: int
     batch_size: int
     seed: int
-    lr_decay: float = 0.1
-    milestones: tuple[float, ...] = (0.5, 0.75)
     metrics_path: Path = Path("out/metrics.csv")
     coeffs_path: Path | None = None
     bench_path: Path = Path("out/bench.csv")
@@ -283,7 +280,6 @@ def load_train_config(path, out_dir=None) -> TrainConfig:
     optim = OptimSpec(
         kind=kind,
         lr=_one(sections, "train", "lr", default=0.1, cast=float),
-        momentum=_one(sections, "train", "momentum", default=0.9, cast=float),
         alpha=_one(sections, "train", "alpha", default=0.005, cast=float),
         lam_floor=_one(sections, "train", "lam_floor", default=1e-12, cast=float),
         fixed_damping=_one(sections, "train", "fixed_damping", default=None, cast=float),
@@ -298,8 +294,6 @@ def load_train_config(path, out_dir=None) -> TrainConfig:
         raise ConfigError(
             f"train.fixed_damping: must be positive, got {optim.fixed_damping}"
         )
-    if not 0.0 <= optim.momentum < 1.0:
-        raise ConfigError(f"train.momentum: must be in [0, 1), got {optim.momentum}")
 
     epochs = _one(sections, "train", "epochs", default=_REQUIRED, cast=int)
     batch_size = _one(sections, "train", "batch_size", default=_REQUIRED, cast=int)
@@ -308,24 +302,18 @@ def load_train_config(path, out_dir=None) -> TrainConfig:
         raise ConfigError(f"train.epochs: must be positive, got {epochs}")
     if batch_size < 1:
         raise ConfigError(f"train.batch_size: must be positive, got {batch_size}")
+    if seed < 0:
+        raise ConfigError(f"train.seed: must be non-negative, got {seed}")
 
     if kind in PRECONDITIONED and batch_size < 2:
         raise ConfigError(
             f"train.batch_size: {kind} needs at least 2 samples per batch, got {batch_size}"
         )
-
-    lr_decay = _one(sections, "train", "lr_decay", default=0.1, cast=float)
-    raw_stones = _one(sections, "train", "milestones", default="0.5 0.75")
-    try:
-        milestones = tuple(float(p) for p in raw_stones.split())
-    except ValueError as exc:
-        raise ConfigError(f"train.milestones: bad value {raw_stones!r}") from exc
-    if any(not 0.0 < s < 1.0 for s in milestones):
-        raise ConfigError(f"train.milestones: fractions must be in (0, 1): {milestones}")
-    if list(milestones) != sorted(milestones):
-        raise ConfigError(f"train.milestones: fractions must be ascending: {milestones}")
-    if not 0.0 < lr_decay <= 1.0:
-        raise ConfigError(f"train.lr_decay: must be in (0, 1], got {lr_decay}")
+    if kind in SHARING and epochs < 2:
+        raise ConfigError(
+            f"train.epochs: {kind} needs at least 2 epochs (epoch one computes "
+            f"the shared coefficients), got {epochs}"
+        )
 
     metrics_path = Path(_one(sections, "output", "metrics", default="out/metrics.csv"))
     bench_path = Path(_one(sections, "output", "bench", default="out/bench.csv"))
@@ -348,8 +336,6 @@ def load_train_config(path, out_dir=None) -> TrainConfig:
         epochs=epochs,
         batch_size=batch_size,
         seed=seed,
-        lr_decay=lr_decay,
-        milestones=milestones,
         metrics_path=metrics_path,
         coeffs_path=coeffs_path,
         bench_path=bench_path,

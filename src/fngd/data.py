@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -85,7 +86,10 @@ def load_idx(path) -> np.ndarray:
     """
     raw = Path(path).read_bytes()
     if raw[:2] == b"\x1f\x8b":
-        raw = gzip.decompress(raw)
+        try:
+            raw = gzip.decompress(raw)
+        except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+            raise IdxFormatError(f"{path}: corrupt gzip stream ({exc})") from exc
     if len(raw) < 4:
         raise IdxFormatError(f"{path}: truncated IDX header")
     magic = int.from_bytes(raw[:4], "big")

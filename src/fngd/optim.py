@@ -1,5 +1,5 @@
 """First-order baselines, SGD and heavy-ball momentum, and the stepwise
-learning-rate schedule.
+learning-rate schedule that every optimizer runs under.
 
 All steps mutate the parameter arrays in place.  Gradients arrive as a
 dict keyed like Network.parameters(), so the same step functions drive
@@ -19,6 +19,13 @@ __all__ = [
     "lr_schedule",
 ]
 
+# Heavy-ball coefficient of sgd_momentum.
+MOMENTUM = 0.9
+# The learning rate is multiplied by LR_DECAY at each of these fractions of
+# the run.
+MILESTONES = (0.5, 0.75)
+LR_DECAY = 0.1
+
 
 def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
              lr: float) -> None:
@@ -28,7 +35,7 @@ def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
 
 @dataclass
 class MomentumState:
-    beta: float = 0.9
+    beta: float = MOMENTUM
     buffers: dict[str, np.ndarray] = field(default_factory=dict)
 
 
@@ -42,15 +49,14 @@ def sgd_momentum_step(state: MomentumState, params: dict[str, np.ndarray],
         params[name] -= lr * buf
 
 
-def lr_schedule(base_lr: float, epochs: int, fractions: tuple[float, ...],
-                decay: float) -> list[float]:
-    """Each epoch's learning rate under step decay: base_lr times decay
-    per milestone passed, with milestones at the given fractions of the
-    run.
+def lr_schedule(base_lr: float, epochs: int) -> list[float]:
+    """Each epoch's learning rate under step decay: base_lr times
+    LR_DECAY per milestone passed, with milestones at the MILESTONES
+    fractions of the run.
 
     No milestone falls on epoch 0, so the first epoch always runs at
     base_lr, however short the run.
     """
-    stones = [max(1, int(f * epochs)) for f in fractions]
-    return [base_lr * decay ** sum(1 for m in stones if epoch >= m)
+    stones = [max(1, int(f * epochs)) for f in MILESTONES]
+    return [base_lr * LR_DECAY ** sum(1 for m in stones if epoch >= m)
             for epoch in range(epochs)]

@@ -141,19 +141,13 @@ DIVERGENCE_FACTOR = 1e6
 class _Runner:
     """Binds one optimizer kind to its state for the epoch loop."""
 
-    def __init__(self, cfg: TrainConfig, net: nn.Network,
-                 table: core.CoefficientTable | None = None):
-        self.cfg = cfg
+    def __init__(self, cfg: TrainConfig, net: nn.Network):
         self.net = net
         self.kind = cfg.optim.kind
         o = cfg.optim
         self.rule = core.DampingRule(alpha=o.alpha, floor=o.lam_floor, fixed=o.fixed_damping)
-        self.state = None
-        self.table = None
-        if self.kind in SHARING:
-            self.table = table if table is not None else core.CoefficientTable()
-        if self.kind == "sgd_momentum":
-            self.state = optim.MomentumState(beta=o.momentum)
+        self.table = core.CoefficientTable() if self.kind in SHARING else None
+        self.state = optim.MomentumState() if self.kind == "sgd_momentum" else None
 
     def step(self, x: np.ndarray, y, lr: float) -> nn.BackwardPass:
         if self.kind in SHARING:
@@ -210,26 +204,6 @@ class TrainResult:
     table: core.CoefficientTable | None
 
 
-def _check_loaded_table(table: core.CoefficientTable, net: nn.Network,
-                        batch_size: int, path) -> None:
-    """Refuse a loaded coefficient table that does not fit the network:
-    it must hold exactly the preconditioned layers, each with one
-    coefficient per batch slot."""
-    have, want = sorted(table.shared), net.preconditioned()
-    if have != want:
-        raise ConfigError(
-            f"{path}: coefficient table holds layers {have}, "
-            f"the model preconditions layers {want}"
-        )
-    for i in want:
-        m = table.shared[i][0].shape[0]
-        if m != batch_size:
-            raise ConfigError(
-                f"{path}: layer {i} has {m} coefficients, "
-                f"train.batch_size is {batch_size}"
-            )
-
-
 def _check_splits(cfg: TrainConfig, net: nn.Network, train_ds: data.Dataset,
                   test_ds: data.Dataset | None) -> None:
     """Refuse splits that do not fit the network or the batch size, before
@@ -254,10 +228,9 @@ def _check_splits(cfg: TrainConfig, net: nn.Network, train_ds: data.Dataset,
 
 def _train_loop(cfg: TrainConfig, net: nn.Network, train_ds: data.Dataset,
                 test_ds: data.Dataset | None, writer: _MetricsWriter | None,
-                table: core.CoefficientTable | None = None,
                 log=None) -> TrainResult:
-    runner = _Runner(cfg, net, table)
-    rates = optim.lr_schedule(cfg.optim.lr, cfg.epochs, cfg.milestones, cfg.lr_decay)
+    runner = _Runner(cfg, net)
+    rates = optim.lr_schedule(cfg.optim.lr, cfg.epochs)
 
     times: list[float] = []
     steps_done = 0
@@ -320,31 +293,18 @@ def _train_loop(cfg: TrainConfig, net: nn.Network, train_ds: data.Dataset,
     return TrainResult(None, final, times, net, runner.table)
 
 
-def run_train(cfg: TrainConfig, load_coeffs=None, log=None) -> TrainResult:
+def run_train(cfg: TrainConfig, log=None) -> TrainResult:
     """Train once per the config; write metrics and optional coefficients.
 
-    Every check is made before the first output: a loaded table is
-    checked against the network before any data is read, and the splits
-    are checked against the network before the metrics file is opened.
+    The network and the splits are checked against each other before
+    the metrics file is opened.
     """
-    kind = cfg.optim.kind
     net = build_network(cfg.model, cfg.seed)
-    table = None
-    if load_coeffs is not None:
-        if kind not in SHARING:
-            raise ValueError(f"loaded coefficients only apply to fngd, not {kind}")
-        table = core.CoefficientTable.load(load_coeffs)
-        _check_loaded_table(table, net, cfg.batch_size, load_coeffs)
-    elif kind in SHARING and cfg.epochs < 2:
-        raise ConfigError(
-            f"train.epochs: {kind} needs at least 2 epochs (epoch one computes "
-            f"the shared coefficients), got {cfg.epochs}"
-        )
     train_ds, test_ds = load_datasets(cfg)
     _check_splits(cfg, net, train_ds, test_ds)
-    writer = _MetricsWriter(cfg.metrics_path, kind)
+    writer = _MetricsWriter(cfg.metrics_path, cfg.optim.kind)
     try:
-        result = _train_loop(cfg, net, train_ds, test_ds, writer, table=table, log=log)
+        result = _train_loop(cfg, net, train_ds, test_ds, writer, log=log)
     finally:
         writer.close()
     result.metrics_path = cfg.metrics_path

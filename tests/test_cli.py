@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fngd import data, linalg, persample, train
+from fngd import core, data, persample, train
 from fngd.cli import _build_parser, main
 from fngd.train import METRICS_COLUMNS, METRICS_VERSION
 
@@ -101,28 +101,15 @@ def test_verify_verbose_adds_detail(capsys):
     assert "(" in out
 
 
-def test_coefficient_table_round_trip(tmp_path, out_dir, monkeypatch):
+def test_coefficient_table_round_trip(tmp_path, out_dir):
     cfg = _write_cfg(tmp_path, CFG + "\n[output]\ncoeffs = coeffs.csv\n")
     table_path = out_dir / "coeffs.csv"
     assert main(["train", "--config", str(cfg)]) == 0
     head = table_path.read_text().splitlines()[0]
     assert head == "fngd-coefficients,1"
-
-    solves = []
-    real = linalg.solve_spd
-
-    def counting(a, b):
-        solves.append(1)
-        return real(a, b)
-
-    monkeypatch.setattr(linalg, "solve_spd", counting)
-    one_epoch = _write_cfg(tmp_path, CFG.replace("epochs = 2", "epochs = 1"),
-                           name="resume.cfg")
-    assert main(["train", "--config", str(one_epoch),
-                 "--load-coeffs", str(table_path)]) == 0
-    assert not solves, "a loaded table must skip every coefficient solve"
-    rows = _read_metrics(out_dir / "metrics.csv")
-    assert rows[0]["epoch"] == "1"
+    table = core.CoefficientTable.load(table_path)
+    assert sorted(table.shared) == [0, 2]
+    assert all(c.shape == (8,) for c, _ in table.shared.values())
 
 
 def test_output_dir_redirect_keeps_names(tmp_path, monkeypatch):
@@ -355,62 +342,62 @@ def test_failed_solve_names_epoch_and_step_and_exits_3(tmp_path, out_dir, capsys
                         r"at layer \d+ \(pivot \d+\)", err[0])
 
 
-@pytest.mark.parametrize("change, message", [
-    (("batch_size = 8", "batch_size = 4"), "layer 0 has 8 coefficients, train.batch_size is 4"),
-    (("layer = dense 4 2", "layer = dense 4 3\nlayer = relu\nlayer = dense 3 2"),
-     r"holds layers [0, 2], the model preconditions layers [0, 2, 4]"),
-])
-def test_mismatched_loaded_coeffs_exit_2_before_any_output(change, message, tmp_path,
-                                                           monkeypatch, capsys):
-    table_path = tmp_path / "first" / "coeffs.csv"
-    monkeypatch.setenv("FNGD_OUTPUT_DIR", str(tmp_path / "first"))
-    saving = CFG + "\n[output]\ncoeffs = coeffs.csv\n"
-    assert main(["train", "--config", str(_write_cfg(tmp_path, saving))]) == 0
-    capsys.readouterr()
+@pytest.mark.parametrize("argv, message", [
+    # a run builds its coefficient table in its own first epoch; none is loaded
+    (["train", "--config", "run.cfg", "--load-coeffs", "coeffs.csv"],
+     "fngd: error: unrecognized arguments: --load-coeffs coeffs.csv"),
+    (["verify", "--seed", "-1"],
+     "fngd verify: error: argument --seed: expected a non-negative integer, got '-1'"),
+], ids=["load-coeffs", "verify-seed"])
+def test_refused_arguments_exit_2_before_any_output(argv, message, tmp_path, out_dir,
+                                                    capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _write_cfg(tmp_path, CFG)
 
     def no_data(cfg):
-        raise AssertionError("data was read before the table check")
+        raise AssertionError("data was read before the arguments were refused")
 
     monkeypatch.setattr(train, "load_datasets", no_data)
-    second = tmp_path / "second"
-    monkeypatch.setenv("FNGD_OUTPUT_DIR", str(second))
-    cfg = _write_cfg(tmp_path, CFG.replace(*change), name="resume.cfg")
-    assert main(["train", "--config", str(cfg), "--load-coeffs", str(table_path)]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: {table_path}: ")
-    assert message in captured.err
-    assert not second.exists()
+    assert captured.err.splitlines()[-1] == message
+    assert not out_dir.exists()
 
 
-def test_non_finite_loaded_coeffs_exit_2_before_any_output(tmp_path, monkeypatch, capsys):
-    table_path = tmp_path / "first" / "coeffs.csv"
-    monkeypatch.setenv("FNGD_OUTPUT_DIR", str(tmp_path / "first"))
-    saving = CFG + "\n[output]\ncoeffs = coeffs.csv\n"
-    assert main(["train", "--config", str(_write_cfg(tmp_path, saving))]) == 0
-    capsys.readouterr()
-    head, row, *rest = table_path.read_text().splitlines()
-    fields = row.split(",")
-    fields[2] = "nan"
-    table_path.write_text("\n".join([head, ",".join(fields), *rest]) + "\n")
-
-    second = tmp_path / "second"
-    monkeypatch.setenv("FNGD_OUTPUT_DIR", str(second))
-    cfg = _write_cfg(tmp_path, CFG, name="resume.cfg")
-    assert main(["train", "--config", str(cfg), "--load-coeffs", str(table_path)]) == 2
+def test_truncated_gzip_idx_exits_2_before_any_output(tmp_path, out_dir, capsys):
+    rng = np.random.Generator(np.random.PCG64(0))
+    imgs, labs = tmp_path / "images.idx.gz", tmp_path / "labels.idx"
+    data.write_idx_images(imgs, rng.integers(0, 255, (40, 2, 2)).astype(np.uint8))
+    data.write_idx_labels(labs, rng.integers(0, 2, 40).astype(np.uint8))
+    imgs.write_bytes(imgs.read_bytes()[:-10])
+    text = CFG.replace(
+        "kind = synthetic\nn = 40\nfeatures = 5\nclasses = 2\ntest_n = 16",
+        f"kind = idx\nimages = {imgs}\nlabels = {labs}\nclasses = 2",
+    ).replace("input = 5", "input = 4").replace("dense 5 4", "dense 4 4")
+    assert main(["train", "--config", str(_write_cfg(tmp_path, text))]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {table_path}: layer 0 has non-finite damping nan\n"
-    assert not second.exists()
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {imgs}: corrupt gzip stream")
+    assert not out_dir.exists()
 
 
 def test_readme_cli_block_names_every_subcommand():
+    # and each subcommand's flags, so that a deleted flag cannot stay documented
     readme = (ROOT / "README.md").read_text()
     block = re.search(r"## CLI\n\n```sh\n(.*?)```", readme, re.S).group(1)
-    named = [line.split()[1] for line in block.splitlines() if line.startswith("fngd ")]
+    named = {line.split()[1]: set(re.findall(r"--[\w-]+", line))
+             for line in block.splitlines() if line.startswith("fngd ")}
     sub = next(a for a in _build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
-    assert sorted(named) == sorted(sub.choices)
+    flags = {name: {s for a in parser._actions for s in a.option_strings
+                    if s.startswith("--") and s != "--help"}
+             for name, parser in sub.choices.items()}
+    assert named == flags
 
 
 def test_missing_config_exits_2(tmp_path, out_dir, capsys):

@@ -89,7 +89,7 @@ def test_ngd_solves_every_step_and_shared_step_never_solves(monkeypatch):
 # --------------------------------------------------------------- schedule
 
 def test_schedule_default_milestones_hand_values():
-    rates = optim.lr_schedule(0.2, 100, (0.5, 0.75), 0.1)
+    rates = optim.lr_schedule(0.2, 100)
     assert [e for e in range(1, 100) if rates[e] != rates[e - 1]] == [50, 75]
     assert rates[0] == 0.2
     assert rates[49] == 0.2
@@ -102,12 +102,7 @@ def test_schedule_default_milestones_hand_values():
 def test_schedule_short_run_starts_at_base_lr():
     # int(f * epochs) is 0 for every fraction of a one-epoch run; a
     # milestone there would decay the lr before the first step
-    assert optim.lr_schedule(0.1, 1, (0.5, 0.75), 0.1) == [0.1]
+    assert optim.lr_schedule(0.1, 1) == [0.1]
     # both milestones at epoch 1 for two epochs, at epochs 1 and 2 for three
-    assert optim.lr_schedule(0.1, 2, (0.5, 0.75), 0.1) == [0.1, 0.1 * 0.1 ** 2]
-    assert optim.lr_schedule(0.1, 3, (0.5, 0.75), 0.1) == [0.1, 0.1 * 0.1, 0.1 * 0.1 ** 2]
-
-
-def test_schedule_no_decay_is_constant():
-    # milestones at epochs 2 and 4
-    assert optim.lr_schedule(0.3, 6, (0.4, 0.7), 1.0) == [0.3] * 6
+    assert optim.lr_schedule(0.1, 2) == [0.1, 0.1 * 0.1 ** 2]
+    assert optim.lr_schedule(0.1, 3) == [0.1, 0.1 * 0.1, 0.1 * 0.1 ** 2]
