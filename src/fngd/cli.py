@@ -30,8 +30,16 @@ def _seed(text: str) -> int:
     return seed
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses bad arguments with one `error:` line and exit 2, as every
+    other set-up refusal does; subparsers are made from this class too."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fngd",
         description="Natural gradient descent as a weighted sum of per-sample "
                     "gradients, with epoch-one coefficient sharing.",

@@ -93,7 +93,8 @@ def coefficients(stats: persample.GramStats, lam: float) -> np.ndarray:
     if not 0.0 < lam < math.inf:
         raise ValueError(f"damping must be positive and finite, got {lam}")
     m = stats.batch
-    a = stats.gram / m + lam * np.eye(m)
+    a = stats.gram / m
+    a.flat[:: m + 1] += lam
     return (lam / m) * linalg.solve_spd(a, np.ones(m))
 
 

@@ -73,6 +73,38 @@ def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] * b[None, :, :]).reshape(p * q, cols)
 
 
+def _upper_factor(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Work array whose upper triangle is U = L^T, with a = U^T U.
+
+    Row j is factored from rows 0..j-1 of U: one contiguous read and one
+    contiguous write per row.  Given b, it is carried as an extra last
+    column, which the same row operations turn into U^-T b.  Only the
+    upper triangle of a is read; the strict lower triangle of the result
+    is left over and is not part of U.
+    """
+    n = a.shape[0]
+    w = np.empty((n, n if b is None else n + 1))
+    w[:, :n] = a
+    if b is not None:
+        w[:, n] = b
+    for j in range(n):
+        w[j, j:] -= w[:j, j] @ w[:j, j:]
+        d = float(w[j, j])
+        if d <= 0.0 or not math.isfinite(d):
+            raise NotSPDError(j, d)
+        w[j, j:] /= math.sqrt(d)
+    return w
+
+
+def _back_substitute(u: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Solve U x = y for upper-triangular U, reading its rows."""
+    n = y.shape[0]
+    x = np.empty(n)
+    for i in range(n - 1, -1, -1):
+        x[i] = (y[i] - u[i, i + 1 : n] @ x[i + 1 :]) / u[i, i]
+    return x
+
+
 def cholesky(a: np.ndarray) -> np.ndarray:
     """Lower-triangular Cholesky factor, no pivoting.
 
@@ -81,17 +113,7 @@ def cholesky(a: np.ndarray) -> np.ndarray:
     """
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"cholesky: matrix must be square, got {a.shape}")
-    n = a.shape[0]
-    low = np.zeros((n, n))
-    for j in range(n):
-        d = float(a[j, j] - low[j, :j] @ low[j, :j])
-        if d <= 0.0 or not math.isfinite(d):
-            raise NotSPDError(j, d)
-        ljj = math.sqrt(d)
-        low[j, j] = ljj
-        if j + 1 < n:
-            low[j + 1 :, j] = (a[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / ljj
-    return low
+    return np.triu(_upper_factor(a)).T
 
 
 def cho_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -99,22 +121,24 @@ def cho_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
     n = low.shape[0]
     if b.shape != (n,):
         raise ValueError(f"cho_solve: rhs shape {b.shape} does not match factor {low.shape}")
-    y = np.empty(n)
-    for i in range(n):
-        y[i] = (b[i] - low[i, :i] @ y[:i]) / low[i, i]
-    x = np.empty(n)
-    for i in range(n - 1, -1, -1):
-        x[i] = (y[i] - low[i + 1 :, i] @ x[i + 1 :]) / low[i, i]
-    return x
+    # L y = b is upper triangular once both index orders are reversed.
+    y = _back_substitute(low[::-1, ::-1], b[::-1])[::-1]
+    return _back_substitute(low.T, y)
 
 
 def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a @ x = b for symmetric positive definite a via Cholesky."""
+    """Solve a @ x = b for symmetric positive definite a via Cholesky.
+
+    The forward solve U^T y = b rides along in the factorization, so
+    only the back-substitution U x = y runs as a loop of its own.
+    """
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"solve_spd: matrix must be square, got {a.shape}")
-    if b.shape != (a.shape[0],):
+    n = a.shape[0]
+    if b.shape != (n,):
         raise ValueError(f"solve_spd: rhs shape {b.shape} does not match matrix {a.shape}")
-    return cho_solve(cholesky(a), b)
+    w = _upper_factor(a, b)
+    return _back_substitute(w, w[:, n])
 
 
 # Relative asymmetry above this is rejected rather than symmetrized.

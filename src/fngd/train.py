@@ -232,6 +232,9 @@ def _train_loop(cfg: TrainConfig, net: nn.Network, train_ds: data.Dataset,
     runner = _Runner(cfg, net)
     rates = optim.lr_schedule(cfg.optim.lr, cfg.epochs)
 
+    # The test split is evaluated after every epoch only when a metrics row
+    # or a log line reports it; otherwise only the last epoch's is used.
+    every_epoch = writer is not None or log is not None
     times: list[float] = []
     steps_done = 0
     first_loss = None
@@ -278,7 +281,7 @@ def _train_loop(cfg: TrainConfig, net: nn.Network, train_ds: data.Dataset,
         if writer is not None:
             writer.row(epoch + 1, steps_done, "train", mean_loss, train_acc, wall_ms)
         line = f"epoch {epoch + 1}/{cfg.epochs} loss={mean_loss:.6f}"
-        if test_ds is not None:
+        if test_ds is not None and (every_epoch or epoch + 1 == len(rates)):
             t0 = time.perf_counter()
             test_loss, test_acc = evaluate(net, test_ds, cfg.batch_size)
             eval_ms = (time.perf_counter() - t0) * 1e3

@@ -345,9 +345,9 @@ def test_failed_solve_names_epoch_and_step_and_exits_3(tmp_path, out_dir, capsys
 @pytest.mark.parametrize("argv, message", [
     # a run builds its coefficient table in its own first epoch; none is loaded
     (["train", "--config", "run.cfg", "--load-coeffs", "coeffs.csv"],
-     "fngd: error: unrecognized arguments: --load-coeffs coeffs.csv"),
+     "error: unrecognized arguments: --load-coeffs coeffs.csv"),
     (["verify", "--seed", "-1"],
-     "fngd verify: error: argument --seed: expected a non-negative integer, got '-1'"),
+     "error: argument --seed: expected a non-negative integer, got '-1'"),
 ], ids=["load-coeffs", "verify-seed"])
 def test_refused_arguments_exit_2_before_any_output(argv, message, tmp_path, out_dir,
                                                     capsys, monkeypatch):
@@ -363,7 +363,7 @@ def test_refused_arguments_exit_2_before_any_output(argv, message, tmp_path, out
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines()[-1] == message
+    assert captured.err.splitlines() == [message]
     assert not out_dir.exists()
 
 

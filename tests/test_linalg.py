@@ -101,6 +101,50 @@ def test_cholesky_reports_failing_pivot():
     assert err.value.pivot == 0
 
 
+@pytest.mark.parametrize("m", [64, 128, 512])
+def test_solve_matches_numpy_on_damped_dense_grams(m):
+    # a = G/M + lambda I with lambda = alpha ||G||_F, as core.coefficients
+    # builds it; G is the Gram of a dense layer's per-sample gradients.
+    rng = _rng(m)
+    u = linalg.khatri_rao(rng.standard_normal((10, m)), rng.standard_normal((30, m)))
+    gram = u.T @ u
+    lam = 0.005 * linalg.frobenius_norm(gram)
+    a = gram / m + lam * np.eye(m)
+    want = np.linalg.solve(a, np.ones(m))
+    for got in (linalg.solve_spd(a, np.ones(m)),
+                linalg.cho_solve(linalg.cholesky(a), np.ones(m))):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_solve_and_cholesky_report_the_same_failing_pivot():
+    # leading 3x3 block positive definite, Schur complement at pivot 3 is -0.5
+    rng = _rng(6)
+    r = rng.standard_normal((6, 6))
+    a = r @ r.T + np.eye(6)
+    schur = a[3, 3] - a[3, :3] @ np.linalg.solve(a[:3, :3], a[:3, 3])
+    a[3, 3] -= schur + 0.5
+    for call in (lambda: linalg.cholesky(a), lambda: linalg.solve_spd(a, np.ones(6))):
+        with pytest.raises(linalg.NotSPDError) as err:
+            call()
+        assert err.value.pivot == 3
+        assert abs(err.value.value + 0.5) <= 1e-12
+
+
+def test_factor_and_solves_leave_their_arguments_unmodified():
+    rng = _rng(7)
+    r = rng.standard_normal((5, 5))
+    a = r @ r.T + np.eye(5)
+    b = rng.standard_normal(5)
+    a0, b0 = a.copy(), b.copy()
+    low = linalg.cholesky(a)
+    low0 = low.copy()
+    linalg.solve_spd(a, b)
+    linalg.cho_solve(low, b)
+    assert np.array_equal(a, a0)
+    assert np.array_equal(b, b0)
+    assert np.array_equal(low, low0)
+
+
 def test_cholesky_rejects_non_square():
     with pytest.raises(ValueError, match="square"):
         linalg.cholesky(np.ones((2, 3)))

@@ -131,18 +131,31 @@ def _count_evaluate(monkeypatch):
     return sizes
 
 
-@pytest.mark.parametrize("entry, runs", [
-    (lambda cfg: train.run_train(cfg), 1),
-    (lambda cfg: train.run_bench(cfg), len(train.BENCH_VARIANTS)),
+# bench reads only each run's final test accuracy, so it evaluates the
+# test split once per run; train writes a test row every epoch.
+@pytest.mark.parametrize("entry, runs, test_evals", [
+    (lambda cfg: train.run_train(cfg), 1, EPOCHS),
+    (lambda cfg: train.run_bench(cfg), len(train.BENCH_VARIANTS), 1),
 ], ids=["train", "bench"])
 def test_training_split_is_evaluated_once_per_training_run(tmp_path, monkeypatch,
-                                                           entry, runs):
+                                                           entry, runs, test_evals):
     cfg = _load(tmp_path)
     sizes = _count_evaluate(monkeypatch)
     entry(cfg)
     assert sizes.count(44) == runs
-    assert sizes.count(20) == runs * EPOCHS
-    assert len(sizes) == runs * (EPOCHS + 1)
+    assert sizes.count(20) == runs * test_evals
+    assert len(sizes) == runs * (test_evals + 1)
+
+
+def test_unreported_epochs_skip_evaluation_but_not_the_final_figures(tmp_path):
+    cfg = _load(tmp_path)
+    train_ds, test_ds = train.load_datasets(cfg)
+
+    def final(**report):
+        net = train.build_network(cfg.model, cfg.seed)
+        return train._train_loop(cfg, net, train_ds, test_ds, **report).final
+
+    assert final(writer=None) == final(writer=None, log=lambda line: None)
 
 
 @pytest.mark.parametrize("kind", OPTIMIZERS)
