@@ -14,13 +14,13 @@ key it does not read.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 __all__ = [
     "ConfigError",
     "parse_config",
-    "parse_config_file",
     "LayerSpec",
     "ModelSpec",
     "DatasetSpec",
@@ -60,11 +60,6 @@ def parse_config(text: str, where: str = "<config>") -> dict[str, dict[str, list
         key, _, value = line.partition("=")
         current.setdefault(key.strip(), []).append(value.strip())
     return sections
-
-
-def parse_config_file(path) -> dict[str, dict[str, list[str]]]:
-    path = Path(path)
-    return parse_config(path.read_text(), where=str(path))
 
 
 @dataclass(frozen=True)
@@ -235,10 +230,15 @@ def _parse_dataset(sections) -> DatasetSpec:
         )
         if spec.n < 1:
             raise ConfigError(f"dataset.n: must be positive, got {spec.n}")
+        if spec.features < 1:
+            raise ConfigError(f"dataset.features: must be positive, got {spec.features}")
         if spec.classes < 2:
             raise ConfigError(f"dataset.classes: need at least 2, got {spec.classes}")
         if spec.test_n < 0:
             raise ConfigError(f"dataset.test_n: must be non-negative, got {spec.test_n}")
+        if spec.classes > spec.n + spec.test_n:
+            raise ConfigError(f"dataset.classes: need at least one sample per class, got "
+                              f"{spec.classes} classes for n + test_n = {spec.n + spec.test_n}")
     else:
         spec = DatasetSpec(
             kind=kind,
@@ -270,7 +270,8 @@ def load_train_config(path, out_dir=None) -> TrainConfig:
     back to a default.  Checks that need the built network or the data
     are made by the training entry points, before their first output.
     """
-    sections = parse_config_file(path)
+    path = Path(path)
+    sections = parse_config(path.read_text(), where=str(path))
     dataset = _parse_dataset(sections)
     model = _parse_model(sections)
 
@@ -284,16 +285,10 @@ def load_train_config(path, out_dir=None) -> TrainConfig:
         lam_floor=_one(sections, "train", "lam_floor", default=1e-12, cast=float),
         fixed_damping=_one(sections, "train", "fixed_damping", default=None, cast=float),
     )
-    if optim.lr <= 0.0:
-        raise ConfigError(f"train.lr: must be positive, got {optim.lr}")
-    if optim.alpha <= 0.0:
-        raise ConfigError(f"train.alpha: must be positive, got {optim.alpha}")
-    if optim.lam_floor <= 0.0:
-        raise ConfigError(f"train.lam_floor: must be positive, got {optim.lam_floor}")
-    if optim.fixed_damping is not None and optim.fixed_damping <= 0.0:
-        raise ConfigError(
-            f"train.fixed_damping: must be positive, got {optim.fixed_damping}"
-        )
+    for key in ("lr", "alpha", "lam_floor", "fixed_damping"):
+        value = getattr(optim, key)
+        if value is not None and not 0.0 < value < math.inf:
+            raise ConfigError(f"train.{key}: must be positive and finite, got {value}")
 
     epochs = _one(sections, "train", "epochs", default=_REQUIRED, cast=int)
     batch_size = _one(sections, "train", "batch_size", default=_REQUIRED, cast=int)

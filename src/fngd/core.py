@@ -82,7 +82,7 @@ def damping_lambda(stats: persample.GramStats, rule: DampingRule) -> float:
     """Damping strength for one batch from its Gram matrix."""
     if rule.fixed is not None:
         return rule.fixed
-    fro = linalg.frobenius_norm(stats.gram)
+    fro = float(np.sqrt(np.sum(stats.gram ** 2)))
     if fro < 1e-30:
         return rule.floor
     return rule.alpha * fro

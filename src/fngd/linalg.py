@@ -16,11 +16,8 @@ __all__ = [
     "as_matrix",
     "as_vector",
     "khatri_rao",
-    "cholesky",
-    "cho_solve",
     "solve_spd",
     "sym_eigvals",
-    "frobenius_norm",
 ]
 
 
@@ -73,20 +70,19 @@ def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] * b[None, :, :]).reshape(p * q, cols)
 
 
-def _upper_factor(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Work array whose upper triangle is U = L^T, with a = U^T U.
+def _upper_factor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Work array whose upper triangle is U, with a = U^T U.
 
     Row j is factored from rows 0..j-1 of U: one contiguous read and one
-    contiguous write per row.  Given b, it is carried as an extra last
-    column, which the same row operations turn into U^-T b.  Only the
-    upper triangle of a is read; the strict lower triangle of the result
-    is left over and is not part of U.
+    contiguous write per row.  b is carried as an extra last column,
+    which the same row operations turn into U^-T b.  Only the upper
+    triangle of a is read; the strict lower triangle of the result is
+    left over and is not part of U.
     """
     n = a.shape[0]
-    w = np.empty((n, n if b is None else n + 1))
+    w = np.empty((n, n + 1))
     w[:, :n] = a
-    if b is not None:
-        w[:, n] = b
+    w[:, n] = b
     for j in range(n):
         w[j, j:] -= w[:j, j] @ w[:j, j:]
         d = float(w[j, j])
@@ -105,29 +101,8 @@ def _back_substitute(u: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x
 
 
-def cholesky(a: np.ndarray) -> np.ndarray:
-    """Lower-triangular Cholesky factor, no pivoting.
-
-    Raises NotSPDError with the pivot index as soon as a diagonal entry
-    fails to be positive; nothing is silently regularized.
-    """
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"cholesky: matrix must be square, got {a.shape}")
-    return np.triu(_upper_factor(a)).T
-
-
-def cho_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve (L L^T) x = b given the lower Cholesky factor L."""
-    n = low.shape[0]
-    if b.shape != (n,):
-        raise ValueError(f"cho_solve: rhs shape {b.shape} does not match factor {low.shape}")
-    # L y = b is upper triangular once both index orders are reversed.
-    y = _back_substitute(low[::-1, ::-1], b[::-1])[::-1]
-    return _back_substitute(low.T, y)
-
-
 def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a @ x = b for symmetric positive definite a via Cholesky.
+    """Solve a @ x = b for symmetric positive definite a = U^T U.
 
     The forward solve U^T y = b rides along in the factorization, so
     only the back-substitution U x = y runs as a loop of its own.
@@ -154,8 +129,3 @@ def sym_eigvals(a: np.ndarray) -> np.ndarray:
     if asym > _SYM_TOL * scale:
         raise ValueError(f"sym_eigvals: matrix is not symmetric (max asymmetry {asym:.3e})")
     return np.linalg.eigvalsh(a)
-
-
-def frobenius_norm(a: np.ndarray) -> float:
-    """Square root of the sum of squared entries."""
-    return float(np.sqrt(np.sum(np.asarray(a) ** 2)))

@@ -150,12 +150,12 @@ def theorem1_harness(problem: LinearProblem, eta: float, steps: int,
     """Iterate the per-layer damped update and record residual decay.
 
     The layer update is applied through the M x M coefficient route
-    (F_l + lambda I)^{-1} J_l r = J_l (lambda I + G_l / M)^{-1} r / ...
-    with G_l = J_l^T J_l; lambda is fixed at lambda_min(G)/M.  With
-    ``share`` the solve operators are factorized once up front and
-    reused every step; without it each step refactorizes, which is the
-    no-sharing cost model.  Refuses step sizes above the guaranteed
-    bound.
+    c = (lambda I + G_l / M)^{-1} r, dw_l = -(eta / M) J_l c, with
+    G_l = J_l^T J_l and lambda fixed at lambda_min(G)/M.  With ``share``
+    each layer's inverse is built by M solves before the first step and
+    every step multiplies by it, as FNGD inverts in epoch one only;
+    without it each step solves afresh, the no-sharing cost model.
+    Refuses step sizes above the guaranteed bound.
     """
     if steps < 1:
         raise ValueError(f"need at least one step, got {steps}")
@@ -175,7 +175,8 @@ def theorem1_harness(problem: LinearProblem, eta: float, steps: int,
     ops = []
     for j in problem.blocks:
         a = lam * np.eye(m) + (j.T @ j) / m
-        ops.append(linalg.cholesky(a) if share else a)
+        ops.append(np.column_stack([linalg.solve_spd(a, e) for e in np.eye(m)])
+                   if share else a)
 
     w = problem.w0.copy()
     v = problem.v0.copy()
@@ -187,7 +188,7 @@ def theorem1_harness(problem: LinearProblem, eta: float, steps: int,
         r = v - problem.y
         dv = np.zeros(m)
         for l, j in enumerate(problem.blocks):
-            c = linalg.cho_solve(ops[l], r) if share else linalg.solve_spd(ops[l], r)
+            c = ops[l] @ r if share else linalg.solve_spd(ops[l], r)
             dw = -(eta / m) * (j @ c)
             w[offset[l] : offset[l + 1]] += dw
             dv += j.T @ dw

@@ -101,14 +101,19 @@ def load_datasets(cfg: TrainConfig) -> tuple[data.Dataset, data.Dataset | None]:
         if ds.test_n == 0:
             return full, None
         return data.split(full, ds.n)
-    inputs = data.load_idx(ds.images)
-    labels = data.load_idx(ds.labels)
-    train = data.Dataset(inputs, labels, num_classes=ds.classes)
-    test = None
-    if ds.test_images:
-        test = data.Dataset(data.load_idx(ds.test_images), data.load_idx(ds.test_labels),
-                            num_classes=ds.classes)
+    train = _load_idx_split(ds.images, ds.labels, ds.classes, "labels")
+    test = (_load_idx_split(ds.test_images, ds.test_labels, ds.classes, "test_labels")
+            if ds.test_images else None)
     return train, test
+
+
+def _load_idx_split(images, labels, classes: int, key: str) -> data.Dataset:
+    """One IDX split; labels that do not fit are refused by key and file."""
+    inputs, targets = data.load_idx(images), data.load_idx(labels)
+    try:
+        return data.Dataset(inputs, targets, num_classes=classes)
+    except ValueError as exc:
+        raise ConfigError(f"dataset.{key}: {labels}: {exc}") from exc
 
 
 def evaluate(net: nn.Network, ds: data.Dataset, batch: int) -> tuple[float, float]:

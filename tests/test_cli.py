@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fngd import core, data, persample, train
+from fngd import core, data, persample, theory, train
 from fngd.cli import _build_parser, main
 from fngd.train import METRICS_COLUMNS, METRICS_VERSION
 
@@ -234,6 +234,7 @@ SETUP_REFUSALS = {
     "train.milestones": ("seed = 3", "seed = 3\nmilestones = 0.75 0.5"),
     "dataset.classes": ("classes = 2", "classes = 4"),
     "model.loss": ("layer = dense 4 2", "layer = dense 4 2\nloss = squared_error"),
+    "train.lr": ("lr = 0.5", "lr = nan"),
 }
 
 
@@ -247,6 +248,11 @@ SETUP_REFUSALS = {
     pytest.param("train.batch_size", "bench",
                  [("optimizer = fngd", "optimizer = sgd"), ("batch_size = 8", "batch_size = 1")],
                  id="train.batch_size-bench-sgd"),
+    pytest.param("dataset.features", "train", [("features = 5", "features = 0")],
+                 id="dataset.features-train"),
+    # more classes than the n + test_n = 56 samples drawn
+    pytest.param("dataset.classes", "train", [("classes = 2", "classes = 57")],
+                 id="dataset.classes-samples-train"),
 ])
 def test_setup_refusal_names_the_key_before_any_output(key, command, changes, tmp_path,
                                                         out_dir, capsys):
@@ -260,6 +266,49 @@ def test_setup_refusal_names_the_key_before_any_output(key, command, changes, tm
     err = captured.err.splitlines()
     assert len(err) == 1
     assert err[0].startswith(f"error: {key}: ")
+    assert not out_dir.exists()
+
+
+def _idx_config(tmp_path, labels, test_labels=None):
+    """CFG over 40 2x2 IDX images (and 16 test images) with the given labels."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    paths = {"images": tmp_path / "images.idx", "labels": tmp_path / "labels.idx"}
+    data.write_idx_images(paths["images"], rng.integers(0, 255, (40, 2, 2)).astype(np.uint8))
+    data.write_idx_labels(paths["labels"], labels)
+    if test_labels is not None:
+        paths["test_images"] = tmp_path / "test_images.idx"
+        paths["test_labels"] = tmp_path / "test_labels.idx"
+        data.write_idx_images(paths["test_images"],
+                              rng.integers(0, 255, (16, 2, 2)).astype(np.uint8))
+        data.write_idx_labels(paths["test_labels"], test_labels)
+    text = CFG.replace(
+        "kind = synthetic\nn = 40\nfeatures = 5\nclasses = 2\ntest_n = 16",
+        "kind = idx\nclasses = 2\n" + "".join(f"{k} = {v}\n" for k, v in paths.items()),
+    ).replace("input = 5", "input = 4").replace("dense 5 4", "dense 4 4")
+    return text, paths
+
+
+def _labels(n, bad_index=None):
+    labels = np.arange(n) % 2
+    if bad_index is not None:
+        labels[bad_index] = 5
+    return labels
+
+
+@pytest.mark.parametrize("labels, test_labels, key, reason", [
+    pytest.param(_labels(40, bad_index=7), None, "labels",
+                 "class index out of range: saw 5 with 2 classes", id="label-range"),
+    pytest.param(_labels(20), None, "labels", "20 targets for 40 samples", id="short-labels"),
+    pytest.param(_labels(40), _labels(8), "test_labels", "8 targets for 16 samples",
+                 id="short-test-labels"),
+])
+def test_label_file_refusal_names_the_key_and_file_before_any_output(
+        labels, test_labels, key, reason, tmp_path, out_dir, capsys):
+    text, paths = _idx_config(tmp_path, labels, test_labels)
+    assert main(["train", "--config", str(_write_cfg(tmp_path, text))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: dataset.{key}: {paths[key]}: {reason}"]
     assert not out_dir.exists()
 
 
@@ -398,6 +447,13 @@ def test_readme_cli_block_names_every_subcommand():
                     if s.startswith("--") and s != "--help"}
              for name, parser in sub.choices.items()}
     assert named == flags
+
+
+def test_readme_verify_bullet_names_every_check():
+    # in the order verify prints them
+    readme = (ROOT / "README.md").read_text()
+    bullet = re.search(r"\n\* `verify` runs (.*?)\n\* ", readme, re.S).group(1)
+    assert re.findall(r"`(\w+)`", bullet) == [r.name for r in theory.run_checks()]
 
 
 def test_missing_config_exits_2(tmp_path, out_dir, capsys):

@@ -151,6 +151,20 @@ def test_nobias_dense(tmp_path):
         (("optimizer = fngd", "optimizer = adamw"),
          r"train\.optimizer: unknown optimizer 'adamw'"),
         (("seed = 1", "seed = -1"), r"train\.seed: must be non-negative"),
+        (("lr = 0.5", "lr = nan"), r"^train\.lr: must be positive and finite, got nan$"),
+        (("lr = 0.5", "lr = inf"), r"^train\.lr: must be positive and finite, got inf$"),
+        (("seed = 1", "seed = 1\nalpha = nan"),
+         r"^train\.alpha: must be positive and finite, got nan$"),
+        (("seed = 1", "seed = 1\nfixed_damping = inf"),
+         r"^train\.fixed_damping: must be positive and finite, got inf$"),
+        (("seed = 1", "seed = 1\nlam_floor = inf"),
+         r"^train\.lam_floor: must be positive and finite, got inf$"),
+        (("seed = 1", "seed = 1\nlam_floor = nan"),
+         r"^train\.lam_floor: must be positive and finite, got nan$"),
+        (("features = 5", "features = 0"), r"^dataset\.features: must be positive, got 0$"),
+        (("classes = 2", "classes = 81"),
+         r"^dataset\.classes: need at least one sample per class, got 81 classes "
+         r"for n \+ test_n = 80$"),
     ],
 )
 def test_loader_errors_name_section_and_key(tmp_path, mangle, message, monkeypatch):
@@ -213,7 +227,7 @@ def test_readme_key_table_matches_loader(tmp_path, monkeypatch):
 
     # every key the loader takes out of a section, by _one or directly
     read = set()
-    real_parse = config.parse_config_file
+    real_parse = config.parse_config
 
     class Recording(dict):
         def __init__(self, name, keys):
@@ -224,10 +238,10 @@ def test_readme_key_table_matches_loader(tmp_path, monkeypatch):
             read.add((self.name, key))
             return super().pop(key, *default)
 
-    def recording(path):
-        return {name: Recording(name, keys) for name, keys in real_parse(path).items()}
+    def recording(text, where):
+        return {name: Recording(name, keys) for name, keys in real_parse(text, where).items()}
 
-    monkeypatch.setattr(config, "parse_config_file", recording)
+    monkeypatch.setattr(config, "parse_config", recording)
     load_train_config(_write(tmp_path, BASE + "[output]\nmetrics = m.csv\n"))
     # an idx dataset reads its own keys before it finds the images missing
     idx = BASE.replace("kind = synthetic\nn = 60\nfeatures = 5\nclasses = 2\ntest_n = 20",

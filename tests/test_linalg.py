@@ -57,7 +57,7 @@ def test_khatri_rao_gram_identity_property(p, q, m, seed):
     assert np.abs(u.T @ u - fast).max() <= 1e-12 * scale
 
 
-# --------------------------------------------------- cholesky / solve_spd
+# -------------------------------------------------------------- solve_spd
 
 def test_solve_diagonal():
     got = linalg.solve_spd(2.0 * np.eye(3), np.array([2.0, 4.0, 6.0]))
@@ -78,27 +78,29 @@ def test_solve_residual_bound_random_spd():
     b = rng.standard_normal(8)
     x = linalg.solve_spd(a, b)
     resid = np.abs(a @ x - b).max()
-    bound = 1e-9 * (linalg.frobenius_norm(a) * np.abs(x).max() + np.abs(b).max())
+    bound = 1e-9 * (np.linalg.norm(a) * np.abs(x).max() + np.abs(b).max())
     assert resid <= bound
 
 
-def test_cholesky_factor_reconstructs():
-    rng = _rng(5)
-    r = rng.standard_normal((6, 6))
-    a = r.T @ r + np.eye(6)
-    low = linalg.cholesky(a)
-    assert np.abs(np.triu(low, 1)).max() == 0.0
-    assert np.abs(low @ low.T - a).max() <= 1e-12 * np.abs(a).max()
-
-
-def test_cholesky_reports_failing_pivot():
+def test_solve_reports_failing_pivot():
     with pytest.raises(linalg.NotSPDError) as err:
-        linalg.cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        linalg.solve_spd(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
     assert err.value.pivot == 1
 
     with pytest.raises(linalg.NotSPDError) as err:
-        linalg.cholesky(np.array([[-1.0]]))
+        linalg.solve_spd(np.array([[-1.0]]), np.ones(1))
     assert err.value.pivot == 0
+
+    # leading 3x3 block positive definite, Schur complement at pivot 3 is -0.5
+    rng = _rng(6)
+    r = rng.standard_normal((6, 6))
+    a = r @ r.T + np.eye(6)
+    schur = a[3, 3] - a[3, :3] @ np.linalg.solve(a[:3, :3], a[:3, 3])
+    a[3, 3] -= schur + 0.5
+    with pytest.raises(linalg.NotSPDError) as err:
+        linalg.solve_spd(a, np.ones(6))
+    assert err.value.pivot == 3
+    assert abs(err.value.value + 0.5) <= 1e-12
 
 
 @pytest.mark.parametrize("m", [64, 128, 512])
@@ -108,46 +110,22 @@ def test_solve_matches_numpy_on_damped_dense_grams(m):
     rng = _rng(m)
     u = linalg.khatri_rao(rng.standard_normal((10, m)), rng.standard_normal((30, m)))
     gram = u.T @ u
-    lam = 0.005 * linalg.frobenius_norm(gram)
+    lam = 0.005 * np.linalg.norm(gram)
     a = gram / m + lam * np.eye(m)
     want = np.linalg.solve(a, np.ones(m))
-    for got in (linalg.solve_spd(a, np.ones(m)),
-                linalg.cho_solve(linalg.cholesky(a), np.ones(m))):
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    got = linalg.solve_spd(a, np.ones(m))
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def test_solve_and_cholesky_report_the_same_failing_pivot():
-    # leading 3x3 block positive definite, Schur complement at pivot 3 is -0.5
-    rng = _rng(6)
-    r = rng.standard_normal((6, 6))
-    a = r @ r.T + np.eye(6)
-    schur = a[3, 3] - a[3, :3] @ np.linalg.solve(a[:3, :3], a[:3, 3])
-    a[3, 3] -= schur + 0.5
-    for call in (lambda: linalg.cholesky(a), lambda: linalg.solve_spd(a, np.ones(6))):
-        with pytest.raises(linalg.NotSPDError) as err:
-            call()
-        assert err.value.pivot == 3
-        assert abs(err.value.value + 0.5) <= 1e-12
-
-
-def test_factor_and_solves_leave_their_arguments_unmodified():
+def test_solve_leaves_its_arguments_unmodified():
     rng = _rng(7)
     r = rng.standard_normal((5, 5))
     a = r @ r.T + np.eye(5)
     b = rng.standard_normal(5)
     a0, b0 = a.copy(), b.copy()
-    low = linalg.cholesky(a)
-    low0 = low.copy()
     linalg.solve_spd(a, b)
-    linalg.cho_solve(low, b)
     assert np.array_equal(a, a0)
     assert np.array_equal(b, b0)
-    assert np.array_equal(low, low0)
-
-
-def test_cholesky_rejects_non_square():
-    with pytest.raises(ValueError, match="square"):
-        linalg.cholesky(np.ones((2, 3)))
 
 
 def test_solve_shape_errors():
@@ -155,8 +133,6 @@ def test_solve_shape_errors():
         linalg.solve_spd(np.eye(3), np.ones(2))
     with pytest.raises(ValueError, match="square"):
         linalg.solve_spd(np.ones((2, 3)), np.ones(2))
-    with pytest.raises(ValueError, match="rhs shape"):
-        linalg.cho_solve(np.eye(3), np.ones(4))
 
 
 @settings(deadline=None, max_examples=30)
@@ -168,7 +144,7 @@ def test_solve_residual_bound_property(n, seed):
     b = rng.standard_normal(n)
     x = linalg.solve_spd(a, b)
     resid = np.abs(a @ x - b).max()
-    bound = 1e-9 * (linalg.frobenius_norm(a) * np.abs(x).max(initial=0.0)
+    bound = 1e-9 * (np.linalg.norm(a) * np.abs(x).max(initial=0.0)
                     + np.abs(b).max(initial=0.0))
     assert resid <= bound
 
@@ -222,14 +198,6 @@ def test_eigvals_rejects_asymmetric():
 def test_eigvals_rejects_non_square():
     with pytest.raises(ValueError, match="square"):
         linalg.sym_eigvals(np.ones((2, 3)))
-
-
-# --------------------------------------------------------- frobenius_norm
-
-def test_frobenius_hand_values():
-    assert linalg.frobenius_norm(np.diag([3.0, 4.0])) == 5.0
-    assert linalg.frobenius_norm(np.zeros((3, 2))) == 0.0
-    assert linalg.frobenius_norm(np.ones((2, 2))) == 2.0
 
 
 # ------------------------------------------------------------- coercions

@@ -155,6 +155,29 @@ def test_sharing_is_exact_on_constant_jacobians():
     assert np.abs(fresh.residual_sq - cached.residual_sq).max() <= 1e-12
 
 
+@pytest.mark.parametrize("steps", [1, 7])
+def test_sharing_harness_solves_only_before_its_first_step(steps, monkeypatch):
+    # share=True inverts each layer once, column by column, and then only
+    # multiplies; share=False solves once per layer and step
+    prob = theory.make_linear_problem([5, 4, 6, 5], m=3, seed=5)
+    lmin, lmax = prob.eig_range()
+    eta = 0.5 * theory.eta_tilde(4, lmin, lmax)
+    rhs = []
+    real = linalg.solve_spd
+
+    def recording(a, b):
+        rhs.append(b.copy())
+        return real(a, b)
+
+    monkeypatch.setattr(linalg, "solve_spd", recording)
+    theory.theorem1_harness(prob, eta, steps=steps, share=True)
+    assert len(rhs) == prob.layer_count * prob.batch
+    assert np.array_equal(np.array(rhs), np.tile(np.eye(prob.batch), (prob.layer_count, 1)))
+    rhs.clear()
+    theory.theorem1_harness(prob, eta, steps=steps, share=False)
+    assert len(rhs) == prob.layer_count * steps
+
+
 # -------------------------------------------------------- identity checks
 
 def test_smw_identity_zero_perturbation_is_exact():
