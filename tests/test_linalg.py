@@ -82,7 +82,8 @@ def test_solve_residual_bound_random_spd():
     assert resid <= bound
 
 
-def test_solve_reports_failing_pivot():
+def test_cholesky_reports_failing_pivot():
+    # solve_spd's Cholesky factorization names the first non-positive pivot
     with pytest.raises(linalg.NotSPDError) as err:
         linalg.solve_spd(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
     assert err.value.pivot == 1
@@ -91,6 +92,9 @@ def test_solve_reports_failing_pivot():
         linalg.solve_spd(np.array([[-1.0]]), np.ones(1))
     assert err.value.pivot == 0
 
+
+def test_solve_and_cholesky_report_the_same_failing_pivot():
+    # the pivot and its value are those of the Cholesky factorization:
     # leading 3x3 block positive definite, Schur complement at pivot 3 is -0.5
     rng = _rng(6)
     r = rng.standard_normal((6, 6))
