@@ -220,6 +220,8 @@ def _parse_dataset(sections) -> DatasetSpec:
         if key not in read and any(key in keys for keys in DATASET_KEYS.values()):
             raise ConfigError(f"dataset.{key}: not read for {kind} datasets")
     classes = _one(sections, "dataset", "classes", default=2, cast=int)
+    if classes < 2:
+        raise ConfigError(f"dataset.classes: need at least 2, got {classes}")
     if kind == "synthetic":
         spec = DatasetSpec(
             kind=kind,
@@ -232,8 +234,6 @@ def _parse_dataset(sections) -> DatasetSpec:
             raise ConfigError(f"dataset.n: must be positive, got {spec.n}")
         if spec.features < 1:
             raise ConfigError(f"dataset.features: must be positive, got {spec.features}")
-        if spec.classes < 2:
-            raise ConfigError(f"dataset.classes: need at least 2, got {spec.classes}")
         if spec.test_n < 0:
             raise ConfigError(f"dataset.test_n: must be non-negative, got {spec.test_n}")
         if spec.classes > spec.n + spec.test_n:

@@ -138,7 +138,9 @@ def precondition_explicit_u(capture: nn.LayerCapture, c: np.ndarray,
     """
     z, x = _checked_capture(capture, c)
     o, i, m = z.shape[0], x.shape[0], z.shape[-1]
-    z, x = z.reshape(o, -1, m), x.reshape(i, -1, m)
+    # A dense capture of a sample-major batch is F-ordered; the einsum
+    # below walks it in C order, so it is copied once here.
+    z, x = z.reshape(o, -1, m), np.ascontiguousarray(x.reshape(i, -1, m))
     chunk = max(1, max_bytes // (o * i * 8))
     total = np.zeros(o * i)
     for start in range(0, m, chunk):
@@ -261,17 +263,20 @@ class CoefficientTable:
         return table
 
 
-def _apply_update(param: np.ndarray, direction: np.ndarray, lr: float) -> None:
-    """The single parameter update, param -= lr * direction, in place; a
-    function of its own so that it can be traced."""
-    param -= lr * direction
+def _apply_update(param: np.ndarray, step: np.ndarray) -> None:
+    """The single parameter update, param -= step, in place; a function
+    of its own so that it can be traced.  The step arrives already scaled
+    by the learning rate, so the update is one pass over param."""
+    param -= step
 
 
 def preconditioned_step(net: nn.Network, x, y, eta: float, rule: DampingRule | None,
                         table: CoefficientTable | None = None,
                         explicit_u: bool = False) -> nn.BackwardPass:
     """The one step body: w -= (eta/lambda) U c for every preconditioned
-    layer; biases take the plain gradient at eta.
+    layer; biases take the plain gradient at eta.  The scalar eta/lambda
+    multiplies the M-long c, not the weight-sized U c, so each weight
+    gets one step-sized array and one pass to subtract it.
 
     Without a table, or with one still accumulating, each layer's
     (c, lambda) comes from this batch's Gram and solve (a conv layer
@@ -312,13 +317,14 @@ def preconditioned_step(net: nn.Network, x, y, eta: float, rule: DampingRule | N
             except ValueError as exc:
                 raise RuntimeError(f"layer {i}: {exc}") from exc
             u = stats.u
+        scaled = c * (eta / lam)
         if explicit_u:
-            d = precondition_explicit_u(cap, c)
+            step = precondition_explicit_u(cap, scaled)
         else:
-            d = precondition(cap, c, u=u)
-        _apply_update(params[f"layer{i}.weight"], d / lam, eta)
+            step = precondition(cap, scaled, u=u)
+        _apply_update(params[f"layer{i}.weight"], step)
     for name, grad in bwd.bias_grads.items():
-        _apply_update(params[name], grad, eta)
+        _apply_update(params[name], eta * grad)
     return bwd
 
 

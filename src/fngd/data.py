@@ -43,7 +43,13 @@ class IdxFormatError(ValueError):
 @dataclass
 class Dataset:
     """Feature matrix (features x samples) plus a 1-D integer vector of
-    class indices, one per sample."""
+    class indices, one per sample.
+
+    Both loaders build the matrix sample-major, each sample's features
+    contiguous (F order).  A batch `inputs[:, idx]` and an evaluation
+    slice `inputs[:, a:b]` are then F-contiguous too, and `nn.forward`
+    hands them to BLAS as they are, without a transposing copy.
+    """
 
     inputs: np.ndarray
     targets: np.ndarray
@@ -81,8 +87,11 @@ def load_idx(path) -> np.ndarray:
     """Read one IDX file.
 
     Images (magic 0x00000803) come back as a (rows*cols, n) float64
-    matrix scaled to [0, 1]; labels (magic 0x00000801) as a 1-D int64
-    vector.  Gzip payloads are detected by their two-byte prefix.
+    matrix scaled to [0, 1], sample-major like the file: the transpose of
+    a C-contiguous (n, rows*cols) array, so each image's pixels stay
+    contiguous and every batch of columns is F-contiguous.  Labels
+    (magic 0x00000801) come back as a 1-D int64 vector.  Gzip payloads
+    are detected by their two-byte prefix.
     """
     raw = Path(path).read_bytes()
     if raw[:2] == b"\x1f\x8b":
@@ -153,7 +162,8 @@ def synthetic_classification(n: int, d: int, k: int, seed: int) -> Dataset:
     The cluster spread sigma is capped at a quarter of the smallest
     pairwise mean distance (so the means sit at least 4 sigma apart and
     the classes stay linearly separable), and class counts are balanced
-    to within one sample.  Column order is shuffled.
+    to within one sample.  Column order is shuffled; the shuffle leaves
+    the matrix sample-major (F-contiguous), the layout `Dataset` keeps.
     """
     if k < 2:
         raise ValueError(f"need at least 2 classes, got {k}")

@@ -38,10 +38,18 @@ class NotSPDError(ValueError):
 
 
 def as_matrix(a) -> np.ndarray:
-    """Coerce to a finite 2-D float64 array, copying only when needed."""
-    out = np.ascontiguousarray(a, dtype=np.float64)
+    """Coerce to a finite 2-D float64 array, copying only when needed.
+
+    A C- or F-contiguous float64 array comes back as the same object:
+    BLAS reads either layout, so a sample-major batch (an F-contiguous
+    features x samples matrix) reaches it untransposed.  Only an array
+    that is neither, such as a strided view, is copied into C order.
+    """
+    out = np.asarray(a, dtype=np.float64)
     if out.ndim != 2:
         raise ValueError(f"expected a 2-D array, got shape {out.shape}")
+    if not (out.flags.c_contiguous or out.flags.f_contiguous):
+        out = np.ascontiguousarray(out)
     if not np.isfinite(out).all():
         raise ValueError("matrix entries must all be finite")
     return out

@@ -347,13 +347,16 @@ def backward(net: Network, fwd: ForwardPass, targets) -> BackwardPass:
 
 def weight_gradients(net: Network, fwd: ForwardPass) -> dict[str, np.ndarray]:
     """Batch-mean weight gradients (1/M) Z X^T assembled from the captures,
-    summed over patch positions; a dense capture has one position."""
+    summed over patch positions; a dense capture has one position.
+
+    The 1/M divides the GEMM's output in place, so each gradient is one
+    weight-sized array written by the GEMM and passed over once more."""
     grads = {}
     for i in net.preconditioned():
         z, x = fwd.captures[i].z, fwd.captures[i].x
         if z is None:
             raise RuntimeError(f"layer {i} capture has no Z; run backward first")
-        grads[f"layer{i}.weight"] = (
-            z.reshape(z.shape[0], -1) @ x.reshape(x.shape[0], -1).T
-        ) / z.shape[-1]
+        g = z.reshape(z.shape[0], -1) @ x.reshape(x.shape[0], -1).T
+        g /= z.shape[-1]
+        grads[f"layer{i}.weight"] = g
     return grads

@@ -29,8 +29,11 @@ LR_DECAY = 0.1
 
 def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
              lr: float) -> None:
+    """w <- w - lr g.  Each g is scaled by lr in place, so the gradients
+    are consumed: after the call they hold the steps taken."""
     for name, g in grads.items():
-        params[name] -= lr * g
+        g *= lr
+        params[name] -= g
 
 
 @dataclass

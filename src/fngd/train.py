@@ -101,19 +101,24 @@ def load_datasets(cfg: TrainConfig) -> tuple[data.Dataset, data.Dataset | None]:
         if ds.test_n == 0:
             return full, None
         return data.split(full, ds.n)
-    train = _load_idx_split(ds.images, ds.labels, ds.classes, "labels")
-    test = (_load_idx_split(ds.test_images, ds.test_labels, ds.classes, "test_labels")
+    train = _load_idx_split(ds.images, ds.labels, ds.classes, "")
+    test = (_load_idx_split(ds.test_images, ds.test_labels, ds.classes, "test_")
             if ds.test_images else None)
     return train, test
 
 
-def _load_idx_split(images, labels, classes: int, key: str) -> data.Dataset:
-    """One IDX split; labels that do not fit are refused by key and file."""
+def _load_idx_split(images, labels, classes: int, prefix: str) -> data.Dataset:
+    """One IDX split; a file that does not fit is refused by key and file:
+    an images file without images under dataset.<prefix>images, labels
+    that do not fit the images under dataset.<prefix>labels."""
     inputs, targets = data.load_idx(images), data.load_idx(labels)
+    if inputs.ndim != 2:
+        raise ConfigError(f"dataset.{prefix}images: {images}: holds IDX labels, "
+                          f"not images")
     try:
         return data.Dataset(inputs, targets, num_classes=classes)
     except ValueError as exc:
-        raise ConfigError(f"dataset.{key}: {labels}: {exc}") from exc
+        raise ConfigError(f"dataset.{prefix}labels: {labels}: {exc}") from exc
 
 
 def evaluate(net: nn.Network, ds: data.Dataset, batch: int) -> tuple[float, float]:

@@ -312,6 +312,22 @@ def test_label_file_refusal_names_the_key_and_file_before_any_output(
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("split", ["", "test_"])
+def test_swapped_images_and_labels_name_the_images_key_and_file_before_any_output(
+        split, tmp_path, out_dir, capsys):
+    text, paths = _idx_config(tmp_path, _labels(40), _labels(16))
+    images, labels = paths[f"{split}images"], paths[f"{split}labels"]
+    image_bytes = images.read_bytes()
+    images.write_bytes(labels.read_bytes())
+    labels.write_bytes(image_bytes)
+    assert main(["train", "--config", str(_write_cfg(tmp_path, text))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: dataset.{split}images: {images}: holds IDX labels, not images"]
+    assert not out_dir.exists()
+
+
 def test_non_finite_loss_names_epoch_and_step_and_exits_3(tmp_path, out_dir, capsys):
     # a step of 1e30 overflows the weights within the first epoch, and
     # the next forward pass meets inf - inf in the softmax

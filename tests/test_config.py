@@ -165,6 +165,9 @@ def test_nobias_dense(tmp_path):
         (("classes = 2", "classes = 81"),
          r"^dataset\.classes: need at least one sample per class, got 81 classes "
          r"for n \+ test_n = 80$"),
+        (("kind = synthetic\nn = 60\nfeatures = 5\nclasses = 2\ntest_n = 20",
+          "kind = idx\nimages = images.idx\nlabels = labels.idx\nclasses = 1"),
+         r"^dataset\.classes: need at least 2, got 1$"),
     ],
 )
 def test_loader_errors_name_section_and_key(tmp_path, mangle, message, monkeypatch):

@@ -289,6 +289,23 @@ def test_precondition_explicit_u_matches_weighted_route():
     assert np.abs(fast2 - slow2).max() <= 1e-12 * max(1.0, np.abs(fast2).max())
 
 
+def test_precondition_explicit_u_on_a_sample_major_capture_matches_weighted_route(rel_err):
+    # forward keeps a sample-major batch as it is, so the first dense
+    # capture is F-ordered and the explicit route must read it as such
+    rng = _rng(11)
+    net = nn.Network([nn.Dense.create(5, 3, rng)], "cross_entropy")
+    x = np.asfortranarray(rng.standard_normal((5, 8)))
+    fwd = nn.forward(net, x)
+    nn.backward(net, fwd, rng.integers(0, 3, 8))
+    cap = fwd.captures[0]
+    assert cap.x.flags.f_contiguous and not cap.x.flags.c_contiguous
+    c = rng.standard_normal(8)
+    fast = core.precondition(cap, c)
+    for chunk in (3, 8):
+        slow = core.precondition_explicit_u(cap, c, max_bytes=3 * 5 * 8 * chunk)
+        assert rel_err(slow, fast) <= 1e-12
+
+
 def _check_explicit_u_equals_routes(cap, c, chunk, u=None):
     """precondition_explicit_u, in chunks of `chunk` samples, against the
     weighted-input route and, given u, the U route; errors are relative

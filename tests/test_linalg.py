@@ -215,6 +215,25 @@ def test_as_matrix_checks():
         linalg.as_matrix([[np.nan, 0.0]])
 
 
+def test_as_matrix_passes_contiguous_float64_through_and_copies_strided_views():
+    # a sample-major batch is F-contiguous and must reach BLAS uncopied
+    c = np.arange(12.0).reshape(3, 4)
+    f = np.asfortranarray(c)
+    assert linalg.as_matrix(c) is c
+    assert linalg.as_matrix(f) is f
+    strided = c[:, ::2]
+    assert not (strided.flags.c_contiguous or strided.flags.f_contiguous)
+    out = linalg.as_matrix(strided)
+    assert not np.shares_memory(out, c)
+    assert out.flags.c_contiguous and np.array_equal(out, strided)
+    with pytest.raises(ValueError, match="2-D"):
+        linalg.as_matrix(np.arange(4.0))
+    with pytest.raises(ValueError, match="finite"):
+        linalg.as_matrix(np.asfortranarray([[0.0, np.inf], [1.0, 2.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        linalg.as_matrix(np.array([[np.nan, 0.0, 1.0]])[:, ::2])
+
+
 def test_as_vector_checks():
     out = linalg.as_vector([1, 2, 3])
     assert out.dtype == np.float64 and out.shape == (3,)

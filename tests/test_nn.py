@@ -57,6 +57,17 @@ def test_relu_elementwise():
     assert np.array_equal(out, [[0.0], [2.0]])
 
 
+def test_forward_keeps_a_sample_major_batch_uncopied():
+    # the layout load_idx and synthetic_classification give every batch
+    net = _dense_net(15)
+    c_batch = _rng(16).standard_normal((4, 6))
+    f_batch = np.asfortranarray(c_batch)
+    fwd = nn.forward(net, f_batch)
+    assert np.shares_memory(fwd.captures[0].x, f_batch)
+    want = nn.forward(net, c_batch).outputs
+    assert np.abs(fwd.outputs - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_forward_rejects_wrong_feature_count():
     net = _dense_net(0)
     with pytest.raises(ValueError, match="expects 4 features"):
