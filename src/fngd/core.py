@@ -133,20 +133,22 @@ def precondition_explicit_u(capture: nn.LayerCapture, c: np.ndarray,
 
     Produces the same matrix as the weighted-input route but pays for
     building U; kept as an oracle and for the no-acceleration ablation.
-    Samples are processed in chunks so the allocation stays under
-    max_bytes.
+    Samples are processed in chunks, each written into one buffer, so
+    the allocation stays under max_bytes.
     """
     z, x = _checked_capture(capture, c)
     o, i, m = z.shape[0], x.shape[0], z.shape[-1]
     # A dense capture of a sample-major batch is F-ordered; the einsum
     # below walks it in C order, so it is copied once here.
     z, x = z.reshape(o, -1, m), np.ascontiguousarray(x.reshape(i, -1, m))
-    chunk = max(1, max_bytes // (o * i * 8))
+    chunk = min(m, max(1, max_bytes // (o * i * 8)))
+    buf = np.empty(o * i * chunk)
     total = np.zeros(o * i)
     for start in range(0, m, chunk):
         sl = slice(start, min(start + chunk, m))
-        u = np.einsum("osm,ism->oim", z[:, :, sl], x[:, :, sl]).reshape(o * i, -1)
-        total += u @ c[sl]
+        u = buf[:o * i * (sl.stop - start)].reshape(o, i, -1)
+        np.einsum("osm,ism->oim", z[:, :, sl], x[:, :, sl], out=u)
+        total += u.reshape(o * i, -1) @ c[sl]
     return total.reshape(o, i)
 
 

@@ -22,8 +22,6 @@ __all__ = [
     "IdxFormatError",
     "Dataset",
     "load_idx",
-    "write_idx_images",
-    "write_idx_labels",
     "synthetic_classification",
     "batches",
     "split",
@@ -128,32 +126,6 @@ def load_idx(path) -> np.ndarray:
         return data.astype(np.int64)
     n, rows, cols = dims
     return data.reshape(n, rows * cols).T.astype(np.float64) / 255.0
-
-
-def _write_bytes(path, blob: bytes) -> None:
-    path = Path(path)
-    if path.suffix == ".gz":
-        # mtime pinned so repeated writes byte-match
-        blob = gzip.compress(blob, mtime=0)
-    path.write_bytes(blob)
-
-
-def write_idx_images(path, images: np.ndarray) -> None:
-    """Write a (n, rows, cols) uint8 array as an IDX image file."""
-    arr = np.ascontiguousarray(images, dtype=np.uint8)
-    if arr.ndim != 3:
-        raise ValueError(f"images must be (n, rows, cols), got shape {arr.shape}")
-    header = struct.pack(">IIII", IDX_MAGIC_IMAGES, *arr.shape)
-    _write_bytes(path, header + arr.tobytes())
-
-
-def write_idx_labels(path, labels: np.ndarray) -> None:
-    """Write a 1-D array of small non-negative ints as an IDX label file."""
-    arr = np.asarray(labels)
-    if arr.ndim != 1:
-        raise ValueError(f"labels must be 1-D, got shape {arr.shape}")
-    header = struct.pack(">II", IDX_MAGIC_LABELS, arr.shape[0])
-    _write_bytes(path, header + arr.astype(np.uint8).tobytes())
 
 
 def synthetic_classification(n: int, d: int, k: int, seed: int) -> Dataset:

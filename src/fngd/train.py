@@ -149,15 +149,20 @@ DIVERGENCE_FACTOR = 1e6
 
 
 class _Runner:
-    """Binds one optimizer kind to its state for the epoch loop."""
+    """One optimizer kind, its state, and the training split: trains one
+    epoch at a time, for `run_train` and for every `run_bench` variant."""
 
-    def __init__(self, cfg: TrainConfig, net: nn.Network):
+    def __init__(self, cfg: TrainConfig, net: nn.Network, train_ds: data.Dataset):
         self.net = net
+        self.train_ds = train_ds
+        self.batch_size, self.seed = cfg.batch_size, cfg.seed
         self.kind = cfg.optim.kind
         o = cfg.optim
         self.rule = core.DampingRule(alpha=o.alpha, floor=o.lam_floor, fixed=o.fixed_damping)
         self.table = core.CoefficientTable() if self.kind in SHARING else None
         self.state = optim.MomentumState() if self.kind == "sgd_momentum" else None
+        self.steps = 0
+        self.first_loss = None
 
     def step(self, x: np.ndarray, y, lr: float) -> nn.BackwardPass:
         if self.kind in SHARING:
@@ -179,9 +184,46 @@ class _Runner:
             optim.sgd_momentum_step(self.state, params, grads, lr)
         return bwd
 
-    def end_epoch(self) -> None:
+    def epoch(self, epoch: int, lr: float) -> tuple[float, float, float]:
+        """Train epoch `epoch` (0-based) at rate lr; finalize the table after
+        epoch one.  Returns (mean step loss, step accuracy, wall ms), the
+        wall time covering the steps and the finalize, not evaluation."""
+        ds = self.train_ds
+        plan = data.batches(ds.n, self.batch_size, self.seed + epoch)
+        start = time.perf_counter()
+        loss_sum = 0.0
+        correct = 0
+        blow_up = None
+        for idx in plan:
+            try:
+                # A diverging step overflows; the loss checks below report it.
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    bwd = self.step(ds.inputs[:, idx], ds.targets[idx], lr)
+                if not np.isfinite(bwd.loss):
+                    raise RuntimeError(f"loss is {bwd.loss}")
+            except RuntimeError as exc:
+                raise TrainingError(
+                    f"epoch {epoch + 1}, step {self.steps + 1}: {exc}"
+                ) from exc
+            if self.first_loss is None:
+                self.first_loss = bwd.loss
+            if blow_up is None and bwd.loss > DIVERGENCE_FACTOR * max(1.0, self.first_loss):
+                blow_up = (self.steps + 1, bwd.loss)
+            loss_sum += bwd.loss
+            correct += bwd.correct
+            self.steps += 1
+        # A finite blow-up is reported at the end of its epoch, naming its
+        # first step over the bound, so that a failed solve or a non-finite
+        # loss later in that epoch keeps its more specific report.
+        if blow_up is not None:
+            raise TrainingError(
+                f"epoch {epoch + 1}, step {blow_up[0]}: loss {blow_up[1]:.3g} exceeds "
+                f"{DIVERGENCE_FACTOR:g} x max(1, first step loss {self.first_loss:.3g}); "
+                f"the run diverged")
         if self.table is not None and not self.table.finalized:
             self.table.finalize()
+        wall_ms = (time.perf_counter() - start) * 1e3
+        return loss_sum / len(plan), correct / (len(plan) * self.batch_size), wall_ms
 
 
 class _MetricsWriter:
@@ -207,9 +249,8 @@ class _MetricsWriter:
 
 @dataclass
 class TrainResult:
-    metrics_path: Path | None
+    metrics_path: Path
     final: dict[str, float]
-    epoch_times_ms: list[float]
     net: nn.Network
     table: core.CoefficientTable | None
 
@@ -236,103 +277,50 @@ def _check_splits(cfg: TrainConfig, net: nn.Network, train_ds: data.Dataset,
                           f"last layer has {net.out_dim} outputs")
 
 
-def _train_loop(cfg: TrainConfig, net: nn.Network, train_ds: data.Dataset,
-                test_ds: data.Dataset | None, writer: _MetricsWriter | None,
-                log=None) -> TrainResult:
-    runner = _Runner(cfg, net)
-    rates = optim.lr_schedule(cfg.optim.lr, cfg.epochs)
-
-    # The test split is evaluated after every epoch only when a metrics row
-    # or a log line reports it; otherwise only the last epoch's is used.
-    every_epoch = writer is not None or log is not None
-    times: list[float] = []
-    steps_done = 0
-    first_loss = None
-    final: dict[str, float] = {}
-    for epoch, lr in enumerate(rates):
-        plan = data.batches(train_ds.n, cfg.batch_size, cfg.seed + epoch)
-        start = time.perf_counter()
-        loss_sum = 0.0
-        correct = 0
-        blow_up = None
-        for idx in plan:
-            try:
-                # A diverging step overflows; the loss checks below report it.
-                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    bwd = runner.step(train_ds.inputs[:, idx], train_ds.targets[idx], lr)
-                if not np.isfinite(bwd.loss):
-                    raise RuntimeError(f"loss is {bwd.loss}")
-            except RuntimeError as exc:
-                raise TrainingError(
-                    f"epoch {epoch + 1}, step {steps_done + 1}: {exc}"
-                ) from exc
-            if first_loss is None:
-                first_loss = bwd.loss
-            if blow_up is None and bwd.loss > DIVERGENCE_FACTOR * max(1.0, first_loss):
-                blow_up = (steps_done + 1, bwd.loss)
-            loss_sum += bwd.loss
-            correct += bwd.correct
-            steps_done += 1
-        # A finite blow-up is reported at the end of its epoch, naming its
-        # first step over the bound, so that a failed solve or a non-finite
-        # loss later in that epoch keeps its more specific report.
-        if blow_up is not None:
-            raise TrainingError(
-                f"epoch {epoch + 1}, step {blow_up[0]}: loss {blow_up[1]:.3g} exceeds "
-                f"{DIVERGENCE_FACTOR:g} x max(1, first step loss {first_loss:.3g}); "
-                f"the run diverged")
-        runner.end_epoch()
-        wall_ms = (time.perf_counter() - start) * 1e3
-        times.append(wall_ms)
-
-        mean_loss = loss_sum / len(plan)
-        train_acc = correct / (len(plan) * cfg.batch_size)
-        final["train_loss"] = mean_loss
-        if writer is not None:
-            writer.row(epoch + 1, steps_done, "train", mean_loss, train_acc, wall_ms)
-        line = f"epoch {epoch + 1}/{cfg.epochs} loss={mean_loss:.6f}"
-        if test_ds is not None and (every_epoch or epoch + 1 == len(rates)):
-            t0 = time.perf_counter()
-            test_loss, test_acc = evaluate(net, test_ds, cfg.batch_size)
-            eval_ms = (time.perf_counter() - t0) * 1e3
-            final["test_loss"] = test_loss
-            final["test_accuracy"] = test_acc
-            if writer is not None:
-                writer.row(epoch + 1, steps_done, "test", test_loss, test_acc, eval_ms)
-            line += f" test_acc={test_acc:.4f}"
-        if log is not None:
-            log(line + f" ({wall_ms:.1f} ms)")
-    final["train_accuracy"] = evaluate(net, train_ds, cfg.batch_size)[1]
-    return TrainResult(None, final, times, net, runner.table)
-
-
 def run_train(cfg: TrainConfig, log=None) -> TrainResult:
     """Train once per the config; write metrics and optional coefficients.
 
     The network and the splits are checked against each other before
-    the metrics file is opened.
+    the metrics file is opened.  The test split, when there is one, is
+    evaluated after every epoch; the training split once, at the end.
     """
     net = build_network(cfg.model, cfg.seed)
     train_ds, test_ds = load_datasets(cfg)
     _check_splits(cfg, net, train_ds, test_ds)
+    runner = _Runner(cfg, net, train_ds)
+    final: dict[str, float] = {}
     writer = _MetricsWriter(cfg.metrics_path, cfg.optim.kind)
     try:
-        result = _train_loop(cfg, net, train_ds, test_ds, writer, log=log)
+        for epoch, lr in enumerate(optim.lr_schedule(cfg.optim.lr, cfg.epochs)):
+            mean_loss, train_acc, wall_ms = runner.epoch(epoch, lr)
+            final["train_loss"] = mean_loss
+            writer.row(epoch + 1, runner.steps, "train", mean_loss, train_acc, wall_ms)
+            line = f"epoch {epoch + 1}/{cfg.epochs} loss={mean_loss:.6f}"
+            if test_ds is not None:
+                t0 = time.perf_counter()
+                test_loss, test_acc = evaluate(net, test_ds, cfg.batch_size)
+                eval_ms = (time.perf_counter() - t0) * 1e3
+                final["test_loss"] = test_loss
+                final["test_accuracy"] = test_acc
+                writer.row(epoch + 1, runner.steps, "test", test_loss, test_acc, eval_ms)
+                line += f" test_acc={test_acc:.4f}"
+            if log is not None:
+                log(line + f" ({wall_ms:.1f} ms)")
+        final["train_accuracy"] = evaluate(net, train_ds, cfg.batch_size)[1]
     finally:
         writer.close()
-    result.metrics_path = cfg.metrics_path
 
-    if cfg.coeffs_path is not None and result.table is not None:
-        result.table.save(cfg.coeffs_path)
+    if cfg.coeffs_path is not None and runner.table is not None:
+        runner.table.save(cfg.coeffs_path)
         if log is not None:
             log(f"coefficients saved to {cfg.coeffs_path}")
     if log is not None:
-        log("final: " + " ".join(f"{k}={v:.6f}" for k, v in sorted(result.final.items())))
-    return result
+        log("final: " + " ".join(f"{k}={v:.6f}" for k, v in sorted(final.items())))
+    return TrainResult(cfg.metrics_path, final, net, runner.table)
 
 
-# (variant, optimizer, optim overrides), trained in this order; sgd first
-# because every row's time ratio is against it.
+# (variant, optimizer, optim overrides), in table order; sgd first because
+# every row's time ratio is against it.
 BENCH_VARIANTS = (
     ("sgd", "sgd", {}),
     ("fngd", "fngd", {}),
@@ -343,15 +331,20 @@ BENCH_VARIANTS = (
 
 
 def run_bench(cfg: TrainConfig, log=None) -> Path:
-    """Train every variant to completion on identical data and init:
-    sgd, fngd, recompute ngd, the explicit-U route, and fngd at a fixed
-    damping.
+    """Train every variant on identical data and init: sgd, fngd,
+    recompute ngd, the explicit-U route, and fngd at a fixed damping.
+
+    The variants run in lockstep: epoch e of every variant before epoch
+    e + 1 of any, so that a burst of host load slows every variant's
+    epoch alike rather than one variant's run.  A failing step is
+    reported with its variant's name.
 
     Writes schema fngd-bench-v2: variant, optimizer, phase, epochs_timed,
     median_epoch_ms, ratio_vs_sgd, final_test_accuracy.  A sharing
     variant gets one row for its coefficient-building first epoch and
     one for its shared phase; the accuracy is the test split's, or the
-    training split's when there is no test split.
+    training split's when there is no test split, evaluated once after
+    the last epoch.
     """
     if cfg.epochs < 4:
         raise ConfigError(f"train.epochs: bench needs at least 4 epochs for stable "
@@ -359,20 +352,26 @@ def run_bench(cfg: TrainConfig, log=None) -> Path:
     if cfg.batch_size < 2:
         raise ConfigError(f"train.batch_size: bench trains natural-gradient variants, "
                           f"which need at least 2 samples per batch, got {cfg.batch_size}")
-    net = build_network(cfg.model, cfg.seed)
+    nets = [build_network(cfg.model, cfg.seed) for _ in BENCH_VARIANTS]
     train_ds, test_ds = load_datasets(cfg)
-    _check_splits(cfg, net, train_ds, test_ds)
+    _check_splits(cfg, nets[0], train_ds, test_ds)
+    runners = [_Runner(replace(cfg, optim=replace(cfg.optim, kind=kind, **fields)), net,
+                       train_ds) for (_, kind, fields), net in zip(BENCH_VARIANTS, nets)]
+    times: list[list[float]] = [[] for _ in runners]
+    for epoch, lr in enumerate(optim.lr_schedule(cfg.optim.lr, cfg.epochs)):
+        for (variant, _, _), runner, walls in zip(BENCH_VARIANTS, runners, times):
+            try:
+                walls.append(runner.epoch(epoch, lr)[2])
+            except TrainingError as exc:
+                raise TrainingError(f"{variant}: {exc}") from exc
+    scored = test_ds if test_ds is not None else train_ds
     rows = []
-    for variant, kind, fields in BENCH_VARIANTS:
-        cfg_v = replace(cfg, optim=replace(cfg.optim, kind=kind, **fields))
-        result = _train_loop(cfg_v, build_network(cfg.model, cfg.seed), train_ds, test_ds,
-                             writer=None)
-        times = result.epoch_times_ms
-        acc = result.final.get("test_accuracy", result.final["train_accuracy"])
+    for (variant, kind, _), net, walls in zip(BENCH_VARIANTS, nets, times):
+        acc = evaluate(net, scored, cfg.batch_size)[1]
         if kind in SHARING:
-            phases = [("epoch1", [times[0]]), ("shared", times[1:])]
+            phases = [("epoch1", walls[:1]), ("shared", walls[1:])]
         else:
-            phases = [("all", times)]
+            phases = [("all", walls)]
         for phase, sample in phases:
             rows.append([variant, kind, phase, len(sample), statistics.median(sample), acc])
     sgd_median = rows[0][4]

@@ -1,7 +1,13 @@
-"""Shared numeric helpers for the test suite."""
+"""Shared numeric helpers and IDX fixture writers for the test suite."""
+
+import gzip
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+from fngd.data import IDX_MAGIC_IMAGES, IDX_MAGIC_LABELS
 
 
 def _rel_err(got, want):
@@ -41,6 +47,32 @@ def _per_sample_grad_dense(capture, m):
     if not 0 <= m < batch:
         raise IndexError(f"sample index {m} out of range for batch of {batch}")
     return np.outer(capture.z[:, m], capture.x[:, m])
+
+
+def _write_bytes(path, blob: bytes) -> None:
+    path = Path(path)
+    if path.suffix == ".gz":
+        # mtime pinned so repeated writes byte-match
+        blob = gzip.compress(blob, mtime=0)
+    path.write_bytes(blob)
+
+
+def write_idx_images(path, images: np.ndarray) -> None:
+    """Write a (n, rows, cols) uint8 array as an IDX image file."""
+    arr = np.ascontiguousarray(images, dtype=np.uint8)
+    if arr.ndim != 3:
+        raise ValueError(f"images must be (n, rows, cols), got shape {arr.shape}")
+    header = struct.pack(">IIII", IDX_MAGIC_IMAGES, *arr.shape)
+    _write_bytes(path, header + arr.tobytes())
+
+
+def write_idx_labels(path, labels: np.ndarray) -> None:
+    """Write a 1-D array of small non-negative ints as an IDX label file."""
+    arr = np.asarray(labels)
+    if arr.ndim != 1:
+        raise ValueError(f"labels must be 1-D, got shape {arr.shape}")
+    header = struct.pack(">II", IDX_MAGIC_LABELS, arr.shape[0])
+    _write_bytes(path, header + arr.astype(np.uint8).tobytes())
 
 
 @pytest.fixture

@@ -239,15 +239,15 @@ def test_criterion_08_timing_structure(tmp_path, monkeypatch):
     t0 = time.perf_counter()
     # each variant's epoch times, so that a failing verdict shows whether one
     # burst of host load or a steady shift moved a median
-    epoch_ms = []
-    real_loop = train._train_loop
+    epoch_ms = {}
+    real_epoch = train._Runner.epoch
 
-    def recording(*args, **kwargs):
-        result = real_loop(*args, **kwargs)
-        epoch_ms.append(" ".join(f"{t:.0f}" for t in result.epoch_times_ms))
+    def recording(runner, epoch, lr):
+        result = real_epoch(runner, epoch, lr)
+        epoch_ms.setdefault(id(runner), []).append(f"{result[2]:.0f}")
         return result
 
-    monkeypatch.setattr(train, "_train_loop", recording)
+    monkeypatch.setattr(train._Runner, "epoch", recording)
     cfg = TrainConfig(
         dataset=DatasetSpec(kind="synthetic", n=2560, features=784, classes=10,
                             test_n=256),
@@ -273,8 +273,9 @@ def test_criterion_08_timing_structure(tmp_path, monkeypatch):
              f"fngd-shared/sgd {shared_vs_sgd:.2f}x (need <=1.3), "
              f"ngd/fngd-shared {ngd_vs_shared:.2f}x (need >=1.5), "
              f"explicit/weighted {explicit_vs_weighted:.2f}x (need >1), {dt:.0f}s; "
-             "epoch ms: " + ", ".join(f"{variant} {times}" for (variant, _, _), times
-                                      in zip(train.BENCH_VARIANTS, epoch_ms)))
+             "epoch ms: " + ", ".join(
+                 f"{variant} {' '.join(times)}"
+                 for (variant, _, _), times in zip(train.BENCH_VARIANTS, epoch_ms.values())))
 
 
 def test_criterion_09_degeneracy_suite(per_sample_grad_dense):

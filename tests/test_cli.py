@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fngd import core, data, persample, theory, train
+from conftest import write_idx_images, write_idx_labels
+from fngd import core, persample, theory, train
 from fngd.cli import _build_parser, main
 from fngd.train import METRICS_COLUMNS, METRICS_VERSION
 
@@ -186,8 +187,8 @@ def test_idx_dataset_with_synthetic_keys_exits_2_before_any_output(tmp_path, out
                                                                   capsys, monkeypatch):
     imgs, labs = tmp_path / "images.idx", tmp_path / "labels.idx"
     rng = np.random.Generator(np.random.PCG64(0))
-    data.write_idx_images(imgs, rng.integers(0, 255, (64, 2, 2)).astype(np.uint8))
-    data.write_idx_labels(labs, rng.integers(0, 2, 64).astype(np.uint8))
+    write_idx_images(imgs, rng.integers(0, 255, (64, 2, 2)).astype(np.uint8))
+    write_idx_labels(labs, rng.integers(0, 2, 64).astype(np.uint8))
     text = CFG.replace(
         "kind = synthetic\nn = 40\nfeatures = 5\nclasses = 2\ntest_n = 16",
         f"kind = idx\nimages = {imgs}\nlabels = {labs}\nclasses = 2\n"
@@ -209,11 +210,10 @@ def test_test_split_feature_mismatch_exits_2_before_any_step(tmp_path, out_dir, 
     rng = np.random.Generator(np.random.PCG64(0))
     paths = {name: tmp_path / f"{name}.idx"
              for name in ("images", "labels", "test_images", "test_labels")}
-    data.write_idx_images(paths["images"], rng.integers(0, 255, (40, 4, 4)).astype(np.uint8))
-    data.write_idx_labels(paths["labels"], rng.integers(0, 2, 40).astype(np.uint8))
-    data.write_idx_images(paths["test_images"],
-                          rng.integers(0, 255, (16, 5, 5)).astype(np.uint8))
-    data.write_idx_labels(paths["test_labels"], rng.integers(0, 2, 16).astype(np.uint8))
+    write_idx_images(paths["images"], rng.integers(0, 255, (40, 4, 4)).astype(np.uint8))
+    write_idx_labels(paths["labels"], rng.integers(0, 2, 40).astype(np.uint8))
+    write_idx_images(paths["test_images"], rng.integers(0, 255, (16, 5, 5)).astype(np.uint8))
+    write_idx_labels(paths["test_labels"], rng.integers(0, 2, 16).astype(np.uint8))
     text = CFG.replace(
         "kind = synthetic\nn = 40\nfeatures = 5\nclasses = 2\ntest_n = 16",
         "kind = idx\nclasses = 2\n" + "".join(f"{k} = {v}\n" for k, v in paths.items()),
@@ -273,14 +273,14 @@ def _idx_config(tmp_path, labels, test_labels=None):
     """CFG over 40 2x2 IDX images (and 16 test images) with the given labels."""
     rng = np.random.Generator(np.random.PCG64(0))
     paths = {"images": tmp_path / "images.idx", "labels": tmp_path / "labels.idx"}
-    data.write_idx_images(paths["images"], rng.integers(0, 255, (40, 2, 2)).astype(np.uint8))
-    data.write_idx_labels(paths["labels"], labels)
+    write_idx_images(paths["images"], rng.integers(0, 255, (40, 2, 2)).astype(np.uint8))
+    write_idx_labels(paths["labels"], labels)
     if test_labels is not None:
         paths["test_images"] = tmp_path / "test_images.idx"
         paths["test_labels"] = tmp_path / "test_labels.idx"
-        data.write_idx_images(paths["test_images"],
-                              rng.integers(0, 255, (16, 2, 2)).astype(np.uint8))
-        data.write_idx_labels(paths["test_labels"], test_labels)
+        write_idx_images(paths["test_images"],
+                         rng.integers(0, 255, (16, 2, 2)).astype(np.uint8))
+        write_idx_labels(paths["test_labels"], test_labels)
     text = CFG.replace(
         "kind = synthetic\nn = 40\nfeatures = 5\nclasses = 2\ntest_n = 16",
         "kind = idx\nclasses = 2\n" + "".join(f"{k} = {v}\n" for k, v in paths.items()),
@@ -392,6 +392,20 @@ def test_finite_blow_up_names_epoch_and_step_and_exits_3(tmp_path, out_dir, caps
                         r"first step loss \S+\); the run diverged", err[0])
 
 
+def test_diverging_bench_variant_is_named_and_exits_3(tmp_path, out_dir, capsys):
+    # at lr 1e6 sgd, the first variant to train each epoch, blows up in epoch one
+    text = (ROOT / "configs" / "mlp_synth.cfg").read_text()
+    text = text.replace("lr = 0.1", "lr = 1e6").replace("epochs = 15", "epochs = 4")
+    assert main(["bench", "--config", str(_write_cfg(tmp_path, text))]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert re.fullmatch(r"error: sgd: epoch 1, step \d+: loss \S+ exceeds 1e\+06 x max\(1, "
+                        r"first step loss \S+\); the run diverged", err[0])
+    assert not out_dir.exists()
+
+
 def test_failed_solve_names_epoch_and_step_and_exits_3(tmp_path, out_dir, capsys):
     # a huge step with almost no damping drives the weights to overflow
     # within a few steps, and the coefficient solve then fails
@@ -435,8 +449,8 @@ def test_refused_arguments_exit_2_before_any_output(argv, message, tmp_path, out
 def test_truncated_gzip_idx_exits_2_before_any_output(tmp_path, out_dir, capsys):
     rng = np.random.Generator(np.random.PCG64(0))
     imgs, labs = tmp_path / "images.idx.gz", tmp_path / "labels.idx"
-    data.write_idx_images(imgs, rng.integers(0, 255, (40, 2, 2)).astype(np.uint8))
-    data.write_idx_labels(labs, rng.integers(0, 2, 40).astype(np.uint8))
+    write_idx_images(imgs, rng.integers(0, 255, (40, 2, 2)).astype(np.uint8))
+    write_idx_labels(labs, rng.integers(0, 2, 40).astype(np.uint8))
     imgs.write_bytes(imgs.read_bytes()[:-10])
     text = CFG.replace(
         "kind = synthetic\nn = 40\nfeatures = 5\nclasses = 2\ntest_n = 16",

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fngd import config, data, train
+from conftest import write_idx_images, write_idx_labels
+from fngd import config, train
 from fngd.config import ConfigError, load_train_config, parse_config
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -301,8 +302,8 @@ def test_idx_dataset_requires_existing_files(tmp_path):
     imgs = tmp_path / "train.idx"
     labs = tmp_path / "labels.idx"
     rng = np.random.Generator(np.random.PCG64(0))
-    data.write_idx_images(imgs, rng.integers(0, 255, (6, 4, 4)).astype(np.uint8))
-    data.write_idx_labels(labs, np.array([0, 1, 0, 1, 0, 1], dtype=np.uint8))
+    write_idx_images(imgs, rng.integers(0, 255, (6, 4, 4)).astype(np.uint8))
+    write_idx_labels(labs, np.array([0, 1, 0, 1, 0, 1], dtype=np.uint8))
     text = BASE.replace(
         "kind = synthetic\nn = 60\nfeatures = 5\nclasses = 2\ntest_n = 20",
         f"kind = idx\nimages = {imgs}\nlabels = {labs}",
@@ -328,8 +329,8 @@ def test_idx_dataset_refuses_synthetic_keys(tmp_path, line):
     imgs = tmp_path / "train.idx"
     labs = tmp_path / "labels.idx"
     rng = np.random.Generator(np.random.PCG64(0))
-    data.write_idx_images(imgs, rng.integers(0, 255, (6, 4, 4)).astype(np.uint8))
-    data.write_idx_labels(labs, np.array([0, 1, 0, 1, 0, 1], dtype=np.uint8))
+    write_idx_images(imgs, rng.integers(0, 255, (6, 4, 4)).astype(np.uint8))
+    write_idx_labels(labs, np.array([0, 1, 0, 1, 0, 1], dtype=np.uint8))
     text = BASE.replace(
         "kind = synthetic\nn = 60\nfeatures = 5\nclasses = 2\ntest_n = 20",
         f"kind = idx\nimages = {imgs}\nlabels = {labs}\nclasses = 2\n{line}",

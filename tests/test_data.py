@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import write_idx_images, write_idx_labels
 from fngd import data
 
 
@@ -65,7 +66,7 @@ def test_images_round_trip(tmp_path):
     rng = np.random.Generator(np.random.PCG64(0))
     imgs = rng.integers(0, 256, size=(5, 3, 4), dtype=np.uint8)
     p = tmp_path / "rt.idx"
-    data.write_idx_images(p, imgs)
+    write_idx_images(p, imgs)
     got = data.load_idx(p)
     want = imgs.reshape(5, 12).T / 255.0
     assert np.array_equal(got, want)
@@ -74,7 +75,7 @@ def test_images_round_trip(tmp_path):
 def test_labels_round_trip_gzip(tmp_path):
     labels = np.array([3, 1, 4, 1, 5], dtype=np.int64)
     p = tmp_path / "lab.idx.gz"
-    data.write_idx_labels(p, labels)
+    write_idx_labels(p, labels)
     assert p.read_bytes()[:2] == b"\x1f\x8b"
     assert np.array_equal(data.load_idx(p), labels)
 
@@ -82,8 +83,8 @@ def test_labels_round_trip_gzip(tmp_path):
 def test_gzip_writes_are_byte_stable(tmp_path):
     imgs = np.zeros((2, 2, 2), dtype=np.uint8)
     a, b = tmp_path / "a.idx.gz", tmp_path / "b.idx.gz"
-    data.write_idx_images(a, imgs)
-    data.write_idx_images(b, imgs)
+    write_idx_images(a, imgs)
+    write_idx_images(b, imgs)
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -96,9 +97,9 @@ def test_gzip_payload_detected_by_prefix(tmp_path):
 
 def test_write_validates_shapes(tmp_path):
     with pytest.raises(ValueError, match="rows, cols"):
-        data.write_idx_images(tmp_path / "x.idx", np.zeros((2, 2), dtype=np.uint8))
+        write_idx_images(tmp_path / "x.idx", np.zeros((2, 2), dtype=np.uint8))
     with pytest.raises(ValueError, match="1-D"):
-        data.write_idx_labels(tmp_path / "y.idx", np.zeros((2, 2)))
+        write_idx_labels(tmp_path / "y.idx", np.zeros((2, 2)))
 
 
 # -------------------------------------------------------------- Dataset

@@ -1,6 +1,7 @@
 """Coefficient computation, preconditioning routes, and the shared table."""
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -304,6 +305,21 @@ def test_precondition_explicit_u_on_a_sample_major_capture_matches_weighted_rout
     for chunk in (3, 8):
         slow = core.precondition_explicit_u(cap, c, max_bytes=3 * 5 * 8 * chunk)
         assert rel_err(slow, fast) <= 1e-12
+
+
+def test_precondition_explicit_u_writes_every_chunk_into_one_buffer():
+    # a 40x50 dense layer at M = 64, 8 samples per chunk: eight chunks, and
+    # the peak stays near one chunk's U, not two
+    cap = _dense_capture(12, out_dim=40, in_dim=50, m=64)
+    c = _rng(13).standard_normal(64)
+    chunk_bytes = 40 * 50 * 8 * 8
+    tracemalloc.start()
+    try:
+        core.precondition_explicit_u(cap, c, max_bytes=chunk_bytes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * chunk_bytes
 
 
 def _check_explicit_u_equals_routes(cap, c, chunk, u=None):

@@ -7,6 +7,7 @@ and the training split is evaluated once per run.
 
 import csv
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -131,31 +132,39 @@ def _count_evaluate(monkeypatch):
     return sizes
 
 
-# bench reads only each run's final test accuracy, so it evaluates the
-# test split once per run; train writes a test row every epoch.
-@pytest.mark.parametrize("entry, runs, test_evals", [
+# train writes a test row every epoch and evaluates the training split
+# once, after the last; bench reads only each variant's final accuracy,
+# from the test split, or from the training split when there is none.
+@pytest.mark.parametrize("entry, train_evals, test_evals", [
     (lambda cfg: train.run_train(cfg), 1, EPOCHS),
-    (lambda cfg: train.run_bench(cfg), len(train.BENCH_VARIANTS), 1),
-], ids=["train", "bench"])
+    (lambda cfg: train.run_bench(cfg), 0, len(train.BENCH_VARIANTS)),
+    (lambda cfg: train.run_bench(replace(cfg, dataset=replace(cfg.dataset, test_n=0))),
+     len(train.BENCH_VARIANTS), 0),
+], ids=["train", "bench", "bench-no-test-split"])
 def test_training_split_is_evaluated_once_per_training_run(tmp_path, monkeypatch,
-                                                           entry, runs, test_evals):
+                                                           entry, train_evals, test_evals):
     cfg = _load(tmp_path)
     sizes = _count_evaluate(monkeypatch)
     entry(cfg)
-    assert sizes.count(44) == runs
-    assert sizes.count(20) == runs * test_evals
-    assert len(sizes) == runs * (test_evals + 1)
+    assert sizes.count(44) == train_evals
+    assert sizes.count(20) == test_evals
+    assert len(sizes) == train_evals + test_evals
 
 
-def test_unreported_epochs_skip_evaluation_but_not_the_final_figures(tmp_path):
+def test_bench_runs_epoch_e_of_every_variant_before_epoch_e_plus_1(tmp_path, monkeypatch):
     cfg = _load(tmp_path)
-    train_ds, test_ds = train.load_datasets(cfg)
+    order = []
+    real = train._Runner.epoch
 
-    def final(**report):
-        net = train.build_network(cfg.model, cfg.seed)
-        return train._train_loop(cfg, net, train_ds, test_ds, **report).final
+    def recording(runner, epoch, lr):
+        order.append((runner.kind, runner.rule.fixed, epoch))
+        return real(runner, epoch, lr)
 
-    assert final(writer=None) == final(writer=None, log=lambda line: None)
+    monkeypatch.setattr(train._Runner, "epoch", recording)
+    train.run_bench(cfg)
+    assert order == [(kind, fields.get("fixed_damping"), epoch)
+                     for epoch in range(EPOCHS)
+                     for _, kind, fields in train.BENCH_VARIANTS]
 
 
 @pytest.mark.parametrize("kind", OPTIMIZERS)
