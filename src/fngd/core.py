@@ -13,9 +13,9 @@ same c is (1/M) (1 - (lambda I + G/M)^{-1} G 1/M), but that form
 subtracts two numbers near 1 and loses digits as lambda shrinks.  For a
 dense layer U c equals Z diag(c) X^T, so preconditioning costs one
 weighted GEMM and U is never formed.  A conv layer's Gram is built from
-an explicit U, in blocks of output channels under the U budget; U is
-kept only when it is one block, and then the coefficient-phase step
-reuses it for U c.
+an explicit U, in blocks of output channels under the U budget;
+`persample.gram` hands the step (G, U), U only when it is one block,
+and then the coefficient-phase step reuses it for U c.
 
 Training runs in two phases.  During epoch one each batch solves for
 its own c and damping lambda while a table accumulates them; after the
@@ -78,22 +78,23 @@ class DampingRule:
             raise ValueError(f"fixed damping must be positive, got {self.fixed}")
 
 
-def damping_lambda(stats: persample.GramStats, rule: DampingRule) -> float:
-    """Damping strength for one batch from its Gram matrix."""
+def damping_lambda(g: np.ndarray, rule: DampingRule) -> float:
+    """Damping strength for one batch from its Gram matrix g."""
     if rule.fixed is not None:
         return rule.fixed
-    fro = float(np.sqrt(np.sum(stats.gram ** 2)))
+    fro = float(np.sqrt(np.sum(g ** 2)))
     if fro < 1e-30:
         return rule.floor
     return rule.alpha * fro
 
 
-def coefficients(stats: persample.GramStats, lam: float) -> np.ndarray:
-    """Length-M weights c such that the preconditioned gradient is (1/lam) U c."""
+def coefficients(g: np.ndarray, lam: float) -> np.ndarray:
+    """Length-M weights c, M = g.shape[0], such that the preconditioned
+    gradient is (1/lam) U c for the Gram g = U^T U."""
     if not 0.0 < lam < math.inf:
         raise ValueError(f"damping must be positive and finite, got {lam}")
-    m = stats.batch
-    a = stats.gram / m
+    m = g.shape[0]
+    a = g / m
     a.flat[:: m + 1] += lam
     return (lam / m) * linalg.solve_spd(a, np.ones(m))
 
@@ -307,9 +308,9 @@ def preconditioned_step(net: nn.Network, x, y, eta: float, rule: DampingRule | N
             # A diverging run can make the Gram, lambda or c non-finite; the
             # error names the layer, and the training loop adds epoch and step.
             try:
-                stats = persample.gram(cap)
-                lam = damping_lambda(stats, rule)
-                c = coefficients(stats, lam)
+                g, u = persample.gram(cap)
+                lam = damping_lambda(g, rule)
+                c = coefficients(g, lam)
                 if table is not None:
                     table.accumulate(i, c, lam)
             except linalg.NotSPDError as exc:
@@ -318,7 +319,6 @@ def preconditioned_step(net: nn.Network, x, y, eta: float, rule: DampingRule | N
                 ) from exc
             except ValueError as exc:
                 raise RuntimeError(f"layer {i}: {exc}") from exc
-            u = stats.u
         scaled = c * (eta / lam)
         if explicit_u:
             step = precondition_explicit_u(cap, scaled)

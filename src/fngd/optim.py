@@ -8,13 +8,10 @@ any stack of layers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 __all__ = [
     "sgd_step",
-    "MomentumState",
     "sgd_momentum_step",
     "lr_schedule",
 ]
@@ -36,19 +33,14 @@ def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         params[name] -= g
 
 
-@dataclass
-class MomentumState:
-    beta: float = MOMENTUM
-    buffers: dict[str, np.ndarray] = field(default_factory=dict)
-
-
-def sgd_momentum_step(state: MomentumState, params: dict[str, np.ndarray],
+def sgd_momentum_step(buffers: dict[str, np.ndarray], params: dict[str, np.ndarray],
                       grads: dict[str, np.ndarray], lr: float) -> None:
-    """Heavy-ball update: v <- beta v + g, w <- w - lr v."""
+    """Heavy-ball update: v <- MOMENTUM v + g, w <- w - lr v.  buffers holds
+    each parameter's v by name, starting empty; the first step sets v = g."""
     for name, g in grads.items():
-        buf = state.buffers.get(name)
-        buf = g.copy() if buf is None else state.beta * buf + g
-        state.buffers[name] = buf
+        buf = buffers.get(name)
+        buf = g.copy() if buf is None else MOMENTUM * buf + g
+        buffers[name] = buf
         params[name] -= lr * buf
 
 

@@ -6,12 +6,11 @@ entrywise: G = (Z^T Z) * (X^T X).  Conv layers sum one such product per
 patch position; there the explicit per-sample gradient matrix U (one
 flattened gradient per column) is built by one batched GEMM over the
 samples, in blocks of output channels whose rows U_k fit the U budget,
-and G = sum_k U_k^T U_k.  `gram` picks the route for a capture.
+and G = sum_k U_k^T U_k.  `gram` picks the route for a capture and
+returns (G, U), U being the one-block conv U and otherwise None.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +19,6 @@ from .nn import LayerCapture
 
 __all__ = [
     "DEFAULT_U_BUDGET_BYTES",
-    "GramStats",
     "gram",
     "gram_dense",
     "build_u_conv",
@@ -30,23 +28,7 @@ __all__ = [
 DEFAULT_U_BUDGET_BYTES = 64 * 1024 * 1024
 
 
-@dataclass
-class GramStats:
-    """Gram matrix of one layer's per-sample gradients.
-
-    u is the explicit per-sample gradient matrix of a conv layer whose U
-    was built in one block, else None.
-    """
-
-    gram: np.ndarray
-    u: np.ndarray | None = None
-
-    @property
-    def batch(self) -> int:
-        return self.gram.shape[0]
-
-
-def gram_dense(capture: LayerCapture) -> GramStats:
+def gram_dense(capture: LayerCapture) -> np.ndarray:
     """Gram of a dense layer's per-sample gradients, never forming them.
 
     Inner products of outer products factor:
@@ -57,7 +39,7 @@ def gram_dense(capture: LayerCapture) -> GramStats:
     if capture.z is None:
         raise ValueError(f"layer {capture.layer} capture has no Z; run backward first")
     z, x = capture.z, capture.x
-    return GramStats((z.T @ z) * (x.T @ x))
+    return (z.T @ z) * (x.T @ x)
 
 
 def build_u_conv(capture: LayerCapture, channels: slice = slice(None)) -> np.ndarray:
@@ -88,33 +70,35 @@ def build_u_conv(capture: LayerCapture, channels: slice = slice(None)) -> np.nda
     return np.matmul(zm, xm.transpose(0, 2, 1)).reshape(m, o * ik2).T
 
 
-def gram_conv(u: np.ndarray) -> GramStats:
-    """Gram from an explicit per-sample gradient matrix.
+def gram_conv(u: np.ndarray) -> np.ndarray:
+    """Gram U^T U from an explicit per-sample gradient matrix.
 
     The checks run on U^T, which is C-contiguous for the sample-major U
     of `build_u_conv`, so that U is not copied.
     """
     ut = linalg.as_matrix(np.transpose(u))
-    return GramStats(ut @ ut.T, u=ut.T)
+    return ut @ ut.T
 
 
 def gram(capture: LayerCapture,
-         u_budget: int = DEFAULT_U_BUDGET_BYTES) -> GramStats:
-    """Gram of one layer's per-sample gradients by the route its kind takes:
-    the Hadamard identity for dense layers, explicit U for conv layers.
+         u_budget: int = DEFAULT_U_BUDGET_BYTES) -> tuple[np.ndarray, np.ndarray | None]:
+    """(G, U) of one layer's per-sample gradients, by the route its kind
+    takes: the Hadamard identity for dense layers, explicit U for conv
+    layers.
 
     A conv layer's U is built in blocks of as many output channels as fit
-    in u_budget bytes (at least one), and G sums the blocks' Grams.  The
-    stats keep U only when it is one block; otherwise U is never whole.
+    in u_budget bytes (at least one), and G sums the blocks' Grams.  U is
+    returned only when it is one block; otherwise U is never whole, and
+    a dense layer has none.
     """
     if capture.kind == "dense":
-        return gram_dense(capture)
+        return gram_dense(capture), None
     width = max(1, u_budget // (capture.x.shape[0] * capture.x.shape[-1] * 8))
-    stats = gram_conv(build_u_conv(capture, slice(0, width)))
+    u = build_u_conv(capture, slice(0, width))
+    g = gram_conv(u)
     if width >= capture.z.shape[0]:
-        return stats
-    g = stats.gram
-    del stats  # so that the first block's U is freed before the next is built
+        return g, u
+    del u  # so that the first block's U is freed before the next is built
     for lo in range(width, capture.z.shape[0], width):
-        g += gram_conv(build_u_conv(capture, slice(lo, lo + width))).gram
-    return GramStats(g)
+        g += gram_conv(build_u_conv(capture, slice(lo, lo + width)))
+    return g, None

@@ -225,8 +225,7 @@ def coefficient_equivalence_check(n: int, m: int, lam: float, seed: int) -> floa
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     u = rng.standard_normal((n, m))
-    stats = persample.gram_conv(u)
-    c = core.coefficients(stats, lam)
+    c = core.coefficients(persample.gram_conv(u), lam)
     got = (u @ c) / lam
     g = u.mean(axis=1)
     want = np.linalg.solve(lam * np.eye(n) + (u @ u.T) / m, g)

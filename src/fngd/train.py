@@ -80,12 +80,18 @@ def build_network(model: ModelSpec, seed: int) -> nn.Network:
                 f"model.layer[{i}]: conv expects {in_ch} channels but the previous "
                 f"layer provides {spatial[0]}"
             )
-        layer = nn.Conv2d.create(in_ch, out_ch, kernel, spec.padding,
-                                 spatial[1], spatial[2], rng, bias=spec.bias)
+        try:
+            layer = nn.Conv2d.create(in_ch, out_ch, kernel, spec.padding,
+                                     spatial[1], spatial[2], rng, bias=spec.bias)
+        except ValueError as exc:  # an unsupported kernel size, or one the input cannot fit
+            raise ConfigError(f"model.layer[{i}]: {exc}") from exc
         layers.append(layer)
         spatial = (out_ch, layer.out_h, layer.out_w)
         flat = layer.flat_out
-    return nn.Network(layers, "cross_entropy")
+    try:
+        return nn.Network(layers, "cross_entropy")
+    except ValueError as exc:  # no dense or conv layer at all
+        raise ConfigError(f"model.layer: {exc}") from exc
 
 
 def load_datasets(cfg: TrainConfig) -> tuple[data.Dataset, data.Dataset | None]:
@@ -160,7 +166,7 @@ class _Runner:
         o = cfg.optim
         self.rule = core.DampingRule(alpha=o.alpha, floor=o.lam_floor, fixed=o.fixed_damping)
         self.table = core.CoefficientTable() if self.kind in SHARING else None
-        self.state = optim.MomentumState() if self.kind == "sgd_momentum" else None
+        self.momentum: dict[str, np.ndarray] = {}  # sgd_momentum's buffers
         self.steps = 0
         self.first_loss = None
 
@@ -181,7 +187,7 @@ class _Runner:
         if self.kind == "sgd":
             optim.sgd_step(params, grads, lr)
         else:
-            optim.sgd_momentum_step(self.state, params, grads, lr)
+            optim.sgd_momentum_step(self.momentum, params, grads, lr)
         return bwd
 
     def epoch(self, epoch: int, lr: float) -> tuple[float, float, float]:

@@ -226,6 +226,8 @@ def test_test_split_feature_mismatch_exits_2_before_any_step(tmp_path, out_dir, 
     assert not out_dir.exists()
 
 
+MODEL = "input = 5\nlayer = dense 5 4\nlayer = relu\nlayer = dense 4 2"
+
 SETUP_REFUSALS = {
     "model.layer[2]": ("layer = dense 5 4\nlayer = relu\nlayer = dense 4 2",
                        "layer = dense 5 8\nlayer = relu\nlayer = dense 9 2"),
@@ -253,6 +255,17 @@ SETUP_REFUSALS = {
     # more classes than the n + test_n = 56 samples drawn
     pytest.param("dataset.classes", "train", [("classes = 2", "classes = 57")],
                  id="dataset.classes-samples-train"),
+    # layers that the network itself refuses, named by the layer's key
+    pytest.param("model.layer[0]", "train",
+                 [(MODEL, "input = 1 3 3\nlayer = conv 1 2 4 same\nlayer = relu\n"
+                          "layer = dense 18 2"), ("features = 5", "features = 9")],
+                 id="model.layer-kernel-size-train"),
+    pytest.param("model.layer[0]", "train",
+                 [(MODEL, "input = 1 3 3\nlayer = conv 1 2 5 valid\nlayer = relu\n"
+                          "layer = dense 2 2"), ("features = 5", "features = 9")],
+                 id="model.layer-kernel-fit-train"),
+    pytest.param("model.layer", "train", [(MODEL, "input = 5\nlayer = relu")],
+                 id="model.layer-no-weights-train"),
 ])
 def test_setup_refusal_names_the_key_before_any_output(key, command, changes, tmp_path,
                                                         out_dir, capsys):

@@ -15,7 +15,7 @@ def _rng(seed):
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _stats_from_u(u):
+def _gram_of(u):
     return persample.gram_conv(np.asarray(u, dtype=float))
 
 
@@ -44,29 +44,24 @@ def _clone_net(net):
 # --------------------------------------------------------- damping_lambda
 
 def test_damping_hand_value():
-    stats = _stats_from_u(np.zeros((2, 2)))
-    stats.gram = np.diag([3.0, 4.0])
-    assert core.damping_lambda(stats, core.DampingRule(alpha=0.1)) == 0.5
+    assert core.damping_lambda(np.diag([3.0, 4.0]), core.DampingRule(alpha=0.1)) == 0.5
 
 
 def test_damping_floor_on_zero_gram():
-    stats = _stats_from_u(np.zeros((3, 2)))
     rule = core.DampingRule(alpha=0.1, floor=1e-12)
-    assert core.damping_lambda(stats, rule) == 1e-12
+    assert core.damping_lambda(np.zeros((2, 2)), rule) == 1e-12
 
 
 def test_damping_homogeneity():
-    stats = _stats_from_u(_rng(0).standard_normal((4, 3)))
+    g = _gram_of(_rng(0).standard_normal((4, 3)))
     rule = core.DampingRule(alpha=0.25)
-    base = core.damping_lambda(stats, rule)
-    stats.gram = 4.0 * stats.gram
-    assert abs(core.damping_lambda(stats, rule) - 4.0 * base) <= 1e-12 * base
+    base = core.damping_lambda(g, rule)
+    assert abs(core.damping_lambda(4.0 * g, rule) - 4.0 * base) <= 1e-12 * base
 
 
 def test_damping_fixed_override():
-    stats = _stats_from_u(_rng(1).standard_normal((4, 3)))
     rule = core.DampingRule(alpha=0.25, fixed=0.3)
-    assert core.damping_lambda(stats, rule) == 0.3
+    assert core.damping_lambda(_gram_of(_rng(1).standard_normal((4, 3))), rule) == 0.3
 
 
 def test_damping_rule_validation():
@@ -81,8 +76,7 @@ def test_damping_rule_validation():
 # ----------------------------------------------------------- coefficients
 
 def test_coefficients_zero_curvature_is_uniform():
-    stats = _stats_from_u(np.zeros((3, 2)))
-    c = core.coefficients(stats, lam=1.0)
+    c = core.coefficients(np.zeros((2, 2)), lam=1.0)
     assert np.array_equal(c, [0.5, 0.5])
 
 
@@ -90,8 +84,7 @@ def test_coefficients_identity_hand_case():
     # U = I (M=2), lam=1: gbar=[.5,.5], (1.5 I)^-1 gbar = [1/3,1/3],
     # c = (1 - 1/3)/2 = [1/3, 1/3]; and (1/lam) U c matches the direct
     # n-by-n solve of the damped system for the mean gradient.
-    stats = _stats_from_u(np.eye(2))
-    c = core.coefficients(stats, lam=1.0)
+    c = core.coefficients(_gram_of(np.eye(2)), lam=1.0)
     assert np.abs(c - [1.0 / 3.0, 1.0 / 3.0]).max() <= 1e-15
     g = np.eye(2).mean(axis=1)
     direct = np.linalg.solve(np.eye(2) + 0.5 * np.eye(2), g)
@@ -100,29 +93,29 @@ def test_coefficients_identity_hand_case():
 
 def test_coefficients_huge_damping_degenerates_to_uniform():
     u = _rng(2).standard_normal((6, 4))
-    stats = _stats_from_u(u)
-    lam = 1e12 * np.linalg.norm(stats.gram)
-    c = core.coefficients(stats, lam)
+    g = _gram_of(u)
+    lam = 1e12 * np.linalg.norm(g)
+    c = core.coefficients(g, lam)
     assert np.abs(c - 0.25).max() <= 1e-9
 
 
 def test_coefficients_scale_invariance():
     u = _rng(3).standard_normal((5, 3))
-    base = core.coefficients(_stats_from_u(u),
-                             core.damping_lambda(_stats_from_u(u), core.DampingRule()))
+    g = _gram_of(u)
+    base = core.coefficients(g, core.damping_lambda(g, core.DampingRule()))
     for s in (0.1, 7.0):
-        stats = _stats_from_u(s * u)
-        lam = core.damping_lambda(stats, core.DampingRule())
-        got = core.coefficients(stats, lam)
+        g = _gram_of(s * u)
+        lam = core.damping_lambda(g, core.DampingRule())
+        got = core.coefficients(g, lam)
         assert np.abs(got - base).max() <= 1e-10 * max(1.0, np.abs(base).max())
 
 
 def test_coefficients_permutation_equivariance():
     u = _rng(4).standard_normal((5, 4))
     lam = 0.3
-    c = core.coefficients(_stats_from_u(u), lam)
+    c = core.coefficients(_gram_of(u), lam)
     perm = np.array([2, 0, 3, 1])
-    cp = core.coefficients(_stats_from_u(u[:, perm]), lam)
+    cp = core.coefficients(_gram_of(u[:, perm]), lam)
     assert np.abs(cp - c[perm]).max() <= 1e-12
     assert np.abs(u[:, perm] @ cp - u @ c).max() <= 1e-12
 
@@ -130,7 +123,7 @@ def test_coefficients_permutation_equivariance():
 def test_coefficients_rejects_bad_damping():
     for lam in (0.0, -1.0, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="positive and finite"):
-            core.coefficients(_stats_from_u(np.eye(2)), lam)
+            core.coefficients(np.eye(2), lam)
 
 
 def test_coefficient_route_matches_direct_solve(rel_err):
@@ -139,7 +132,7 @@ def test_coefficient_route_matches_direct_solve(rel_err):
         n, m = int(rng.integers(3, 40)), int(rng.integers(2, 9))
         u = rng.standard_normal((n, m))
         lam = float(rng.uniform(1e-3, 1.0))
-        c = core.coefficients(_stats_from_u(u), lam)
+        c = core.coefficients(_gram_of(u), lam)
         got = (u @ c) / lam
         want = np.linalg.solve(lam * np.eye(n) + (u @ u.T) / m, u.mean(axis=1))
         assert rel_err(got, want) <= 1e-9
@@ -350,7 +343,7 @@ def test_explicit_u_equals_weighted_input_on_dense_layers(out_dim, in_dim, m, ch
 def test_explicit_u_equals_both_routes_on_conv_layers(o, c, k, padding, h, w, m, chunk,
                                                        seed):
     cap = _conv_capture(seed, o=o, c=c, k=k, h=h, w=w, m=m, padding=padding)
-    u = persample.gram(cap).u
+    _, u = persample.gram(cap)
     assert u is not None  # one block under the default budget: the Gram kept U
     _check_explicit_u_equals_routes(cap, _rng(seed + 1).standard_normal(m), chunk, u=u)
 
@@ -442,12 +435,8 @@ def test_solve_failure_names_the_layer(monkeypatch):
     x = np.array([[1.0], [2.0]])
     t = np.array([[0.0]])
 
-    real = persample.gram_dense
-
     def corrupt_gram(cap):
-        stats = real(cap)
-        stats.gram = np.array([[-10.0]])
-        return stats
+        return np.array([[-10.0]])
 
     monkeypatch.setattr(persample, "gram_dense", corrupt_gram)
     with pytest.raises(RuntimeError, match="layer 0"):

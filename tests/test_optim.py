@@ -20,14 +20,15 @@ def test_sgd_hand_step():
 
 
 def test_momentum_buffer_recurrence():
-    state = optim.MomentumState(beta=0.9)
+    assert optim.MOMENTUM == 0.9  # the hand values below
+    buffers = {}
     params = {"w": np.array([0.0])}
     g = {"w": np.array([1.0])}
-    optim.sgd_momentum_step(state, params, g, lr=0.1)
-    assert state.buffers["w"][0] == 1.0
+    optim.sgd_momentum_step(buffers, params, g, lr=0.1)
+    assert buffers["w"][0] == 1.0
     assert params["w"][0] == -0.1
-    optim.sgd_momentum_step(state, params, g, lr=0.1)
-    assert abs(state.buffers["w"][0] - 1.9) <= 1e-15
+    optim.sgd_momentum_step(buffers, params, g, lr=0.1)
+    assert abs(buffers["w"][0] - 1.9) <= 1e-15
     assert abs(params["w"][0] - (-0.1 - 0.19)) <= 1e-15
 
 

@@ -39,12 +39,12 @@ def test_gram_dense_matches_explicit_khatri_rao():
     want = u.T @ u
     got = persample.gram_dense(cap)
     scale = max(1.0, np.abs(want).max())
-    assert np.abs(got.gram - want).max() <= 1e-12 * scale
+    assert np.abs(got - want).max() <= 1e-12 * scale
 
 
 def test_gram_single_sample_is_scalar_product():
     cap = _dense_capture(1, m=1)
-    got = persample.gram_dense(cap).gram
+    got = persample.gram_dense(cap)
     want = float(cap.z[:, 0] @ cap.z[:, 0]) * float(cap.x[:, 0] @ cap.x[:, 0])
     assert got.shape == (1, 1)
     assert abs(got[0, 0] - want) <= 1e-12 * max(1.0, abs(want))
@@ -54,44 +54,44 @@ def test_gram_duplicate_sample_entries_agree():
     cap = _dense_capture(2, m=1)
     dup = nn.LayerCapture(0, "dense", np.hstack([cap.x, cap.x]))
     dup.z = np.hstack([cap.z, cap.z])
-    g = persample.gram_dense(dup).gram
+    g = persample.gram_dense(dup)
     assert g[0, 0] == g[0, 1] == g[1, 1]
 
 
 def test_gram_mean_col_is_u_transpose_times_mean_gradient():
     cap = _dense_capture(3)
-    stats = persample.gram_dense(cap)
+    g = persample.gram_dense(cap)
     u = linalg.khatri_rao(cap.z, cap.x)
     g_mean = u.mean(axis=1)
     want = u.T @ g_mean
     scale = max(1.0, np.abs(want).max())
-    assert np.abs(stats.gram.mean(axis=1) - want).max() <= 1e-12 * scale
+    assert np.abs(g.mean(axis=1) - want).max() <= 1e-12 * scale
 
 
 def test_gram_permutation_equivariance():
     cap = _dense_capture(4, m=6)
-    stats = persample.gram_dense(cap)
+    g = persample.gram_dense(cap)
     perm = np.array([3, 0, 5, 1, 4, 2])
     pcap = nn.LayerCapture(0, "dense", cap.x[:, perm])
     pcap.z = cap.z[:, perm]
-    pstats = persample.gram_dense(pcap)
-    assert np.abs(pstats.gram - stats.gram[np.ix_(perm, perm)]).max() <= 1e-12
+    pg = persample.gram_dense(pcap)
+    assert np.abs(pg - g[np.ix_(perm, perm)]).max() <= 1e-12
 
 
 def test_gram_scale_property():
     cap = _dense_capture(5)
-    base = persample.gram_dense(cap).gram
+    base = persample.gram_dense(cap)
     scaled = nn.LayerCapture(0, "dense", 2.0 * cap.x)
     scaled.z = 3.0 * cap.z
-    got = persample.gram_dense(scaled).gram
+    got = persample.gram_dense(scaled)
     assert np.abs(got - 36.0 * base).max() <= 1e-12 * max(1.0, np.abs(got).max())
 
 
 def test_gram_psd_within_tolerance():
     cap = _dense_capture(6, out_dim=5, in_dim=7, m=9)
-    stats = persample.gram_dense(cap)
-    eigs = linalg.sym_eigvals(stats.gram)
-    assert eigs[0] >= -1e-10 * np.linalg.norm(stats.gram)
+    g = persample.gram_dense(cap)
+    eigs = linalg.sym_eigvals(g)
+    assert eigs[0] >= -1e-10 * np.linalg.norm(g)
 
 
 def test_gram_dense_requires_backward_and_kind():
@@ -114,10 +114,10 @@ def test_u_conv_single_patch_reduces_to_khatri_rao():
 
 def test_u_conv_1x1_image_matches_dense_gram():
     cap = _conv_capture(9, c=2, k=1, h=1, w=1, m=4)
-    g_conv = persample.gram_conv(persample.build_u_conv(cap)).gram
+    g_conv = persample.gram_conv(persample.build_u_conv(cap))
     dense = nn.LayerCapture(0, "dense", cap.x[:, 0, :])
     dense.z = cap.z[:, 0, :]
-    g_dense = persample.gram_dense(dense).gram
+    g_dense = persample.gram_dense(dense)
     assert np.abs(g_conv - g_dense).max() <= 1e-12 * max(1.0, np.abs(g_dense).max())
 
 
@@ -153,15 +153,15 @@ def test_u_conv_matches_einsum_reference(k, padding, m, rel_err):
 
 def test_gram_dispatches_on_capture_kind():
     dense = _dense_capture(16)
-    got = persample.gram(dense)
-    assert got.u is None
-    assert np.array_equal(got.gram, persample.gram_dense(dense).gram)
+    g, u = persample.gram(dense)
+    assert u is None
+    assert np.array_equal(g, persample.gram_dense(dense))
 
     conv = _conv_capture(17)
-    got = persample.gram(conv)
-    want = persample.gram_conv(persample.build_u_conv(conv))
-    assert np.array_equal(got.gram, want.gram)
-    assert np.array_equal(got.u, want.u)
+    g, u = persample.gram(conv)
+    want_u = persample.build_u_conv(conv)
+    assert np.array_equal(g, persample.gram_conv(want_u))
+    assert np.array_equal(u, want_u)
 
 
 def _block_budget(cap, width):
@@ -175,19 +175,19 @@ def _block_budget(cap, width):
 def test_blocked_gram_matches_one_block(k, padding, width, rel_err):
     # 5 output channels: blocks of 1, of 2 (a non-divisor), and of all
     cap = _conv_capture(30 + k, o=5, c=2, k=k, h=6, w=5, m=7, padding=padding)
-    whole = persample.gram(cap)
-    assert whole.u is not None
-    got = persample.gram(cap, u_budget=_block_budget(cap, width))
-    assert rel_err(got.gram, whole.gram) <= 1e-12
-    assert np.array_equal(got.gram, got.gram.T)
-    assert (got.u is None) == (width < 5)
-    if got.u is not None:
-        assert np.array_equal(got.gram, whole.gram)
+    whole, whole_u = persample.gram(cap)
+    assert whole_u is not None
+    got, got_u = persample.gram(cap, u_budget=_block_budget(cap, width))
+    assert rel_err(got, whole) <= 1e-12
+    assert np.array_equal(got, got.T)
+    assert (got_u is None) == (width < 5)
+    if got_u is not None:
+        assert np.array_equal(got, whole)
     # one byte short of a block of `width` leaves blocks of width - 1
     if width > 1:
-        short = persample.gram(cap, u_budget=_block_budget(cap, width) - 1)
-        assert rel_err(short.gram, whole.gram) <= 1e-12
-        assert (short.u is None) == (width - 1 < 5)
+        short, short_u = persample.gram(cap, u_budget=_block_budget(cap, width) - 1)
+        assert rel_err(short, whole) <= 1e-12
+        assert (short_u is None) == (width - 1 < 5)
 
 
 def test_u_conv_channel_range_is_rows_of_u(rel_err):
@@ -206,7 +206,7 @@ def test_blocked_gram_equals_explicit_u_gram(o, c, k, padding, m, width, seed):
     cap = _conv_capture(seed, o=o, c=c, k=k, h=5, w=6, m=m, padding=padding)
     u = np.einsum("osm,ism->oim", cap.z, cap.x).reshape(o * cap.x.shape[0], m)
     want = u.T @ u
-    got = persample.gram(cap, u_budget=_block_budget(cap, width)).gram
+    got, _ = persample.gram(cap, u_budget=_block_budget(cap, width))
     scale = max(float(np.abs(want).max()), 1e-30)
     assert float(np.abs(got - want).max()) <= 1e-12 * scale
 
@@ -221,11 +221,11 @@ def test_u_conv_requires_backward_and_kind():
 
 def test_gram_conv_orthogonal_and_rank_one():
     u = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
-    g = persample.gram_conv(u).gram
+    g = persample.gram_conv(u)
     assert np.array_equal(g, np.diag([1.0, 4.0]))
     v = np.array([[1.0], [2.0]])
     uu = np.hstack([v, v])
-    g2 = persample.gram_conv(uu).gram
+    g2 = persample.gram_conv(uu)
     assert np.array_equal(g2, 5.0 * np.ones((2, 2)))
 
 

@@ -343,8 +343,8 @@ def test_run_checks_all_pass():
 def test_injected_sign_error_is_caught(monkeypatch):
     real = core.coefficients
 
-    def flipped(stats, lam):
-        return -real(stats, lam)
+    def flipped(g, lam):
+        return -real(g, lam)
 
     monkeypatch.setattr(core, "coefficients", flipped)
     assert theory.coefficient_equivalence_check(20, 5, 0.3, seed=12) > 0.1
