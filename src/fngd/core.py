@@ -82,7 +82,7 @@ def damping_lambda(g: np.ndarray, rule: DampingRule) -> float:
     """Damping strength for one batch from its Gram matrix g."""
     if rule.fixed is not None:
         return rule.fixed
-    fro = float(np.sqrt(np.sum(g ** 2)))
+    fro = float(np.linalg.norm(g))
     if fro < 1e-30:
         return rule.floor
     return rule.alpha * fro

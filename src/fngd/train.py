@@ -115,12 +115,15 @@ def load_datasets(cfg: TrainConfig) -> tuple[data.Dataset, data.Dataset | None]:
 
 def _load_idx_split(images, labels, classes: int, prefix: str) -> data.Dataset:
     """One IDX split; a file that does not fit is refused by key and file:
-    an images file without images under dataset.<prefix>images, labels
-    that do not fit the images under dataset.<prefix>labels."""
+    an images file that holds labels or no images at all under
+    dataset.<prefix>images, labels that do not fit the images under
+    dataset.<prefix>labels."""
     inputs, targets = data.load_idx(images), data.load_idx(labels)
     if inputs.ndim != 2:
         raise ConfigError(f"dataset.{prefix}images: {images}: holds IDX labels, "
                           f"not images")
+    if inputs.shape[1] == 0:
+        raise ConfigError(f"dataset.{prefix}images: {images}: holds no images")
     try:
         return data.Dataset(inputs, targets, num_classes=classes)
     except ValueError as exc:

@@ -266,9 +266,18 @@ SETUP_REFUSALS = {
                  id="model.layer-kernel-fit-train"),
     pytest.param("model.layer", "train", [(MODEL, "input = 5\nlayer = relu")],
                  id="model.layer-no-weights-train"),
+    # IDX files that hold no images; the changes write the files first
+    pytest.param("dataset.images", "train",
+                 lambda tmp: _idx_changes(tmp, _labels(0), _labels(16), images=0)[0],
+                 id="dataset.images-empty-train"),
+    pytest.param("dataset.test_images", "train",
+                 lambda tmp: _idx_changes(tmp, _labels(40), _labels(0), test_images=0)[0],
+                 id="dataset.test_images-empty-train"),
 ])
 def test_setup_refusal_names_the_key_before_any_output(key, command, changes, tmp_path,
                                                         out_dir, capsys):
+    if callable(changes):
+        changes = changes(tmp_path)
     # four epochs, so that bench gets past its own epoch minimum
     text = CFG.replace("epochs = 2", "epochs = 4")
     for change in changes:
@@ -282,22 +291,35 @@ def test_setup_refusal_names_the_key_before_any_output(key, command, changes, tm
     assert not out_dir.exists()
 
 
-def _idx_config(tmp_path, labels, test_labels=None):
-    """CFG over 40 2x2 IDX images (and 16 test images) with the given labels."""
+def _idx_changes(tmp_path, labels, test_labels=None, images=40, test_images=16):
+    """Changes that turn CFG into a config over `images` 2x2 IDX images (and
+    `test_images` test images) with the given labels, and the files' paths."""
     rng = np.random.Generator(np.random.PCG64(0))
     paths = {"images": tmp_path / "images.idx", "labels": tmp_path / "labels.idx"}
-    write_idx_images(paths["images"], rng.integers(0, 255, (40, 2, 2)).astype(np.uint8))
+    write_idx_images(paths["images"],
+                     rng.integers(0, 255, (images, 2, 2)).astype(np.uint8))
     write_idx_labels(paths["labels"], labels)
     if test_labels is not None:
         paths["test_images"] = tmp_path / "test_images.idx"
         paths["test_labels"] = tmp_path / "test_labels.idx"
         write_idx_images(paths["test_images"],
-                         rng.integers(0, 255, (16, 2, 2)).astype(np.uint8))
+                         rng.integers(0, 255, (test_images, 2, 2)).astype(np.uint8))
         write_idx_labels(paths["test_labels"], test_labels)
-    text = CFG.replace(
-        "kind = synthetic\nn = 40\nfeatures = 5\nclasses = 2\ntest_n = 16",
-        "kind = idx\nclasses = 2\n" + "".join(f"{k} = {v}\n" for k, v in paths.items()),
-    ).replace("input = 5", "input = 4").replace("dense 5 4", "dense 4 4")
+    changes = [
+        ("kind = synthetic\nn = 40\nfeatures = 5\nclasses = 2\ntest_n = 16",
+         "kind = idx\nclasses = 2\n" + "".join(f"{k} = {v}\n" for k, v in paths.items())),
+        ("input = 5", "input = 4"),
+        ("dense 5 4", "dense 4 4"),
+    ]
+    return changes, paths
+
+
+def _idx_config(tmp_path, labels, test_labels=None):
+    """CFG over 40 2x2 IDX images (and 16 test images) with the given labels."""
+    changes, paths = _idx_changes(tmp_path, labels, test_labels)
+    text = CFG
+    for change in changes:
+        text = text.replace(*change)
     return text, paths
 
 

@@ -123,13 +123,60 @@ def test_solve_matches_numpy_on_damped_dense_grams(m):
 
 def test_solve_leaves_its_arguments_unmodified():
     rng = _rng(7)
-    r = rng.standard_normal((5, 5))
-    a = r @ r.T + np.eye(5)
-    b = rng.standard_normal(5)
-    a0, b0 = a.copy(), b.copy()
-    linalg.solve_spd(a, b)
-    assert np.array_equal(a, a0)
-    assert np.array_equal(b, b0)
+    for n in (5, 2 * linalg.BLOCK + 3):
+        r = rng.standard_normal((n, n))
+        a = r @ r.T + np.eye(n)
+        b = rng.standard_normal(n)
+        a0, b0 = a.copy(), b.copy()
+        linalg.solve_spd(a, b)
+        assert np.array_equal(a, a0)
+        assert np.array_equal(b, b0)
+
+
+B = linalg.BLOCK
+
+
+@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 3, 512])
+def test_solve_matches_numpy_across_block_boundaries(n):
+    # one block, a block and a row, and a last block shorter than the rest
+    rng = _rng(100 + n)
+    u = linalg.khatri_rao(rng.standard_normal((10, n)), rng.standard_normal((30, n)))
+    gram = u.T @ u
+    a = gram / n + 0.005 * np.linalg.norm(gram) * np.eye(n)
+    b = rng.standard_normal(n)
+    want = np.linalg.solve(a, b)
+    got = linalg.solve_spd(a, b)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("pivot", [B + 5, 2 * B + 1])
+def test_failing_pivot_in_a_later_block_is_reported(pivot):
+    # the leading pivot x pivot block is positive definite and the Schur
+    # complement at `pivot` is -0.5, which the block update must reach
+    n = 2 * B + 3
+    rng = _rng(pivot)
+    r = rng.standard_normal((n, n))
+    a = r @ r.T + np.eye(n)
+    head = a[:pivot, :pivot]
+    schur = a[pivot, pivot] - a[pivot, :pivot] @ np.linalg.solve(head, a[:pivot, pivot])
+    a[pivot, pivot] -= schur + 0.5
+    with pytest.raises(linalg.NotSPDError) as err:
+        linalg.solve_spd(a, np.ones(n))
+    assert err.value.pivot == pivot
+    assert abs(err.value.value + 0.5) <= 1e-12
+
+
+def test_solve_reads_only_the_upper_triangle():
+    n = 2 * B + 3
+    rng = _rng(8)
+    r = rng.standard_normal((n, n))
+    a = r @ r.T + np.eye(n)
+    b = rng.standard_normal(n)
+    garbage = a.copy()
+    lower = np.tril_indices(n, -1)
+    garbage[lower] = 1e6 * rng.standard_normal(lower[0].size)
+    garbage[n - 1, 0] = np.nan
+    assert np.array_equal(linalg.solve_spd(garbage, b), linalg.solve_spd(a, b))
 
 
 def test_solve_shape_errors():
