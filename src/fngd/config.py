@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import core
+
 __all__ = [
     "ConfigError",
     "parse_config",
@@ -94,8 +96,8 @@ class OptimSpec:
     kind: str
     lr: float = 0.1
     alpha: float = 0.005
-    lam_floor: float = 1e-12
     fixed_damping: float | None = None
+    lam_floor = core.DampingRule.floor  # not a key; perfbench/tracing.py reads it
 
 
 @dataclass(frozen=True)
@@ -282,10 +284,9 @@ def load_train_config(path, out_dir=None) -> TrainConfig:
         kind=kind,
         lr=_one(sections, "train", "lr", default=0.1, cast=float),
         alpha=_one(sections, "train", "alpha", default=0.005, cast=float),
-        lam_floor=_one(sections, "train", "lam_floor", default=1e-12, cast=float),
         fixed_damping=_one(sections, "train", "fixed_damping", default=None, cast=float),
     )
-    for key in ("lr", "alpha", "lam_floor", "fixed_damping"):
+    for key in ("lr", "alpha", "fixed_damping"):
         value = getattr(optim, key)
         if value is not None and not 0.0 < value < math.inf:
             raise ConfigError(f"train.{key}: must be positive and finite, got {value}")

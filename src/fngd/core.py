@@ -59,23 +59,22 @@ class TableStateError(RuntimeError):
 
 @dataclass(frozen=True)
 class DampingRule:
-    """lambda = alpha * ||G||_F, floored for vanishing-gradient batches.
+    """lambda = alpha * ||G||_F, or the constant `floor` for a batch whose
+    Gram is zero (every per-sample gradient vanished).
 
     A fixed value (set via ``fixed``) bypasses the Frobenius rule
     entirely; that exists for ablation, not regular use.
     """
 
     alpha: float = 0.005
-    floor: float = 1e-12
     fixed: float | None = None
+    floor = 1e-12  # a class constant, not a field
 
     def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.floor <= 0.0:
-            raise ValueError(f"floor must be positive, got {self.floor}")
-        if self.fixed is not None and self.fixed <= 0.0:
-            raise ValueError(f"fixed damping must be positive, got {self.fixed}")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        if self.fixed is not None and not 0.0 < self.fixed < math.inf:
+            raise ValueError(f"fixed damping must be positive and finite, got {self.fixed}")
 
 
 def damping_lambda(g: np.ndarray, rule: DampingRule) -> float:
@@ -176,8 +175,8 @@ class CoefficientTable:
         if self.finalized:
             raise TableStateError("coefficient table is already finalized")
         v = linalg.as_vector(v)
-        if lam <= 0.0:
-            raise ValueError(f"damping must be positive, got {lam}")
+        if not 0.0 < lam < math.inf:
+            raise ValueError(f"damping must be positive and finite, got {lam}")
         if layer in self._v_sums:
             if v.shape != self._v_sums[layer].shape:
                 raise TableStateError(

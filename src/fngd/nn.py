@@ -1,5 +1,5 @@
 """Small feed-forward training engine: dense and stride-1 conv layers,
-ReLU, softmax cross-entropy and squared-error losses.
+ReLU, softmax cross-entropy loss.
 
 The backward pass is organized around per-sample quantities.  For every
 dense or conv layer it records the layer input X and, once backward has
@@ -32,7 +32,6 @@ __all__ = [
     "loss_value",
 ]
 
-LOSSES = ("cross_entropy", "squared_error")
 CONV_KERNELS = (1, 3, 5)
 
 
@@ -133,17 +132,17 @@ class Relu:
 
 
 class Network:
-    """Ordered layer stack plus a loss kind.
+    """Ordered layer stack trained under softmax cross-entropy.
 
     Dense and conv layers carry the preconditioned weights; biases
     always follow the plain-gradient path.
     """
 
-    def __init__(self, layers, loss: str):
-        if loss not in LOSSES:
-            raise ValueError(f"loss must be one of {LOSSES}, got {loss!r}")
+    # `loss` is only read so that perfbench/selftest.py can still pass it.
+    def __init__(self, layers, loss: str = "cross_entropy"):
+        if loss != "cross_entropy":
+            raise ValueError(f"loss must be 'cross_entropy', got {loss!r}")
         self.layers = list(layers)
-        self.loss = loss
         dim = None
         first = None
         for i, layer in enumerate(self.layers):
@@ -211,13 +210,12 @@ class ForwardPass:
 
 @dataclass
 class BackwardPass:
-    """Batch-mean loss, bias gradients, and for cross-entropy the number
-    of samples whose largest output is their label (None for squared
-    error)."""
+    """Batch-mean loss, bias gradients, and the number of samples whose
+    largest output is their label."""
 
     loss: float
     bias_grads: dict[str, np.ndarray]
-    correct: int | None
+    correct: int
 
 
 def _im2col(flat: np.ndarray, layer: Conv2d) -> np.ndarray:
@@ -278,39 +276,32 @@ def forward(net: Network, x_batch) -> ForwardPass:
     return ForwardPass(cur, captures)
 
 
-def _per_sample_losses_and_grads(kind, outputs, targets):
-    """Per-sample loss values and per-sample output gradients (no 1/M)."""
+def _per_sample_losses_and_grads(outputs, targets):
+    """Per-sample cross-entropy values and output gradients (no 1/M):
+    Z = softmax(outputs) - one-hot(targets)."""
     m = outputs.shape[1]
-    if kind == "cross_entropy":
-        labels = np.asarray(targets)
-        if labels.ndim != 1 or labels.shape[0] != m:
-            raise ValueError(f"expected {m} class labels, got shape {labels.shape}")
-        if labels.size and (int(labels.min()) < 0 or int(labels.max()) >= outputs.shape[0]):
-            raise ValueError(
-                f"invalid class index {int(labels.max())} for {outputs.shape[0]} outputs"
-            )
-        labels = labels.astype(np.int64)
-        shift = outputs.max(axis=0)
-        ex = np.exp(outputs - shift)
-        denom = ex.sum(axis=0)
-        cols = np.arange(m)
-        losses = np.log(denom) + shift - outputs[labels, cols]
-        z = ex / denom
-        z[labels, cols] -= 1.0
-        return losses, z
-    t = linalg.as_matrix(targets)
-    if t.shape != outputs.shape:
-        raise ValueError(f"targets shape {t.shape} does not match outputs {outputs.shape}")
-    z = outputs - t
-    return 0.5 * np.sum(z * z, axis=0), z
+    labels = np.asarray(targets)
+    if labels.ndim != 1 or labels.shape[0] != m:
+        raise ValueError(f"expected {m} class labels, got shape {labels.shape}")
+    if labels.size and (int(labels.min()) < 0 or int(labels.max()) >= outputs.shape[0]):
+        raise ValueError(
+            f"invalid class index {int(labels.max())} for {outputs.shape[0]} outputs"
+        )
+    labels = labels.astype(np.int64)
+    shift = outputs.max(axis=0)
+    ex = np.exp(outputs - shift)
+    denom = ex.sum(axis=0)
+    cols = np.arange(m)
+    losses = np.log(denom) + shift - outputs[labels, cols]
+    z = ex / denom
+    z[labels, cols] -= 1.0
+    return losses, z
 
 
-def loss_value(kind: str, outputs, targets) -> float:
-    """Batch-mean loss: softmax cross-entropy on logits, or 0.5*||err||^2."""
-    if kind not in LOSSES:
-        raise ValueError(f"loss must be one of {LOSSES}, got {kind!r}")
+def loss_value(outputs, targets) -> float:
+    """Batch-mean softmax cross-entropy of logits against class labels."""
     outputs = linalg.as_matrix(outputs)
-    losses, _ = _per_sample_losses_and_grads(kind, outputs, targets)
+    losses, _ = _per_sample_losses_and_grads(outputs, targets)
     return float(losses.mean())
 
 
@@ -322,7 +313,7 @@ def backward(net: Network, fwd: ForwardPass, targets) -> BackwardPass:
     either the batch mean (weight_gradients) or a weighted sum from the
     captured X and Z.
     """
-    losses, d = _per_sample_losses_and_grads(net.loss, fwd.outputs, targets)
+    losses, d = _per_sample_losses_and_grads(fwd.outputs, targets)
     bias_grads: dict[str, np.ndarray] = {}
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
@@ -339,9 +330,7 @@ def backward(net: Network, fwd: ForwardPass, targets) -> BackwardPass:
             d = layer.weight.T @ d.reshape(o, -1)
             if layer.kind == "conv":
                 d = _col2im(d.reshape(cap.x.shape), layer)
-    correct = None
-    if net.loss == "cross_entropy":
-        correct = int((fwd.outputs.argmax(axis=0) == targets).sum())
+    correct = int((fwd.outputs.argmax(axis=0) == targets).sum())
     return BackwardPass(float(losses.mean()), bias_grads, correct)
 
 

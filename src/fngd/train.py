@@ -89,7 +89,7 @@ def build_network(model: ModelSpec, seed: int) -> nn.Network:
         spatial = (out_ch, layer.out_h, layer.out_w)
         flat = layer.flat_out
     try:
-        return nn.Network(layers, "cross_entropy")
+        return nn.Network(layers)
     except ValueError as exc:  # no dense or conv layer at all
         raise ConfigError(f"model.layer: {exc}") from exc
 
@@ -143,7 +143,7 @@ def evaluate(net: nn.Network, ds: data.Dataset, batch: int) -> tuple[float, floa
          for s in range(0, ds.n, batch)],
         axis=1,
     )
-    loss = nn.loss_value(net.loss, outputs, ds.targets)
+    loss = nn.loss_value(outputs, ds.targets)
     return loss, float((outputs.argmax(axis=0) == ds.targets).mean())
 
 
@@ -167,7 +167,7 @@ class _Runner:
         self.batch_size, self.seed = cfg.batch_size, cfg.seed
         self.kind = cfg.optim.kind
         o = cfg.optim
-        self.rule = core.DampingRule(alpha=o.alpha, floor=o.lam_floor, fixed=o.fixed_damping)
+        self.rule = core.DampingRule(alpha=o.alpha, fixed=o.fixed_damping)
         self.table = core.CoefficientTable() if self.kind in SHARING else None
         self.momentum: dict[str, np.ndarray] = {}  # sgd_momentum's buffers
         self.steps = 0

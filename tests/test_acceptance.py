@@ -75,7 +75,7 @@ def _toy_net(rng):
     conv = nn.Conv2d.create(1, 2, 3, "same", 4, 4, rng)
     dense1 = nn.Dense.create(conv.flat_out, 6, rng)
     dense2 = nn.Dense.create(6, 3, rng)
-    return nn.Network([conv, nn.Relu(), dense1, dense2], loss="cross_entropy")
+    return nn.Network([conv, nn.Relu(), dense1, dense2])
 
 
 def test_criterion_03_per_sample_gradients_match_fd(per_sample_grad_dense):
@@ -104,11 +104,9 @@ def test_criterion_03_per_sample_gradients_match_fd(per_sample_grad_dense):
                 h = 1e-6 * (1.0 + abs(flat[e]))
                 orig = flat[e]
                 flat[e] = orig + h
-                up, _ = nn._per_sample_losses_and_grads(
-                    net.loss, nn.forward(net, x).outputs, y)
+                up, _ = nn._per_sample_losses_and_grads(nn.forward(net, x).outputs, y)
                 flat[e] = orig - h
-                dn, _ = nn._per_sample_losses_and_grads(
-                    net.loss, nn.forward(net, x).outputs, y)
+                dn, _ = nn._per_sample_losses_and_grads(nn.forward(net, x).outputs, y)
                 flat[e] = orig
                 fd[e] = (up - dn) / (2.0 * h)
             worst = max(worst, np.abs(u - fd).max() / max(np.abs(fd).max(), 1e-30))
@@ -287,8 +285,7 @@ def test_criterion_09_degeneracy_suite(per_sample_grad_dense):
         rng = _rng(901)
         return nn.Network(
             [nn.Dense.create(10, 6, rng, bias=False), nn.Relu(),
-             nn.Dense.create(6, 3, rng, bias=False)],
-            loss="cross_entropy")
+             nn.Dense.create(6, 3, rng, bias=False)])
 
     net_a, net_b = fresh_net(), fresh_net()
     rng = _rng(902)
@@ -323,10 +320,12 @@ def test_criterion_09_degeneracy_suite(per_sample_grad_dense):
                            np.abs(got - want).max() / max(np.abs(want).max(), 1e-30))
 
     # a batch with zero loss gradient must produce a zero step
-    ident = nn.Network([nn.Dense(np.eye(4), None)], loss="squared_error")
-    x = rng.standard_normal((4, 6))
+    # (logits 1000 * one-hot(y), whose softmax is the one-hot exactly)
+    ident = nn.Network([nn.Dense(np.eye(4), None)])
+    y = rng.integers(0, 4, 6)
+    x = 1000.0 * np.eye(4)[:, y]
     before = ident.layers[0].weight.copy()
-    loss = core.preconditioned_step(ident, x, x.copy(), 0.7, DampingRule()).loss
+    loss = core.preconditioned_step(ident, x, y, 0.7, DampingRule()).loss
     zero_step = loss == 0.0 and np.array_equal(ident.layers[0].weight, before)
 
     dt = time.perf_counter() - t0

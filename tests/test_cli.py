@@ -155,7 +155,7 @@ def test_conv_layer_over_one_u_block_trains(tmp_path, out_dir, monkeypatch):
         assert math.isfinite(float(r["loss"]))
 
 
-@pytest.mark.parametrize("line", ["fixed_damping = -1.0", "lam_floor = 0"])
+@pytest.mark.parametrize("line", ["fixed_damping = -1.0"])
 def test_nonpositive_damping_exits_2_before_any_output(line, tmp_path, out_dir, capsys,
                                                       monkeypatch):
     def no_data(cfg):
@@ -237,6 +237,8 @@ SETUP_REFUSALS = {
     "dataset.classes": ("classes = 2", "classes = 4"),
     "model.loss": ("layer = dense 4 2", "layer = dense 4 2\nloss = squared_error"),
     "train.lr": ("lr = 0.5", "lr = nan"),
+    # the damping floor is a constant, not a key
+    "train.lam_floor": ("lr = 0.5", "lr = 0.5\nlam_floor = 1e-12"),
 }
 
 

@@ -142,7 +142,7 @@ def test_nobias_dense(tmp_path):
         (("kind = synthetic", "kind = parquet"), r"dataset\.kind: expected synthetic or idx"),
         (("seed = 1", "seed = 1\nfixed_damping = -1"),
          r"train\.fixed_damping: must be positive"),
-        (("seed = 1", "seed = 1\nlam_floor = 0"), r"train\.lam_floor: must be positive"),
+        (("seed = 1", "seed = 1\nlam_floor = 1e-12"), r"^train\.lam_floor: unknown key$"),
         (("seed = 1", "seed = 1\nmomentum = -3"), r"train\.momentum: unknown key"),
         (("seed = 1", "seed = 1\nbeta1 = 0.9"), r"train\.beta1: unknown key"),
         (("seed = 1", "seed = 1\nbeta2 = 0.999"), r"train\.beta2: unknown key"),
@@ -158,10 +158,10 @@ def test_nobias_dense(tmp_path):
          r"^train\.alpha: must be positive and finite, got nan$"),
         (("seed = 1", "seed = 1\nfixed_damping = inf"),
          r"^train\.fixed_damping: must be positive and finite, got inf$"),
-        (("seed = 1", "seed = 1\nlam_floor = inf"),
-         r"^train\.lam_floor: must be positive and finite, got inf$"),
-        (("seed = 1", "seed = 1\nlam_floor = nan"),
-         r"^train\.lam_floor: must be positive and finite, got nan$"),
+        (("seed = 1", "seed = 1\nalpha = inf"),
+         r"^train\.alpha: must be positive and finite, got inf$"),
+        (("seed = 1", "seed = 1\nfixed_damping = nan"),
+         r"^train\.fixed_damping: must be positive and finite, got nan$"),
         (("features = 5", "features = 0"), r"^dataset\.features: must be positive, got 0$"),
         (("classes = 2", "classes = 81"),
          r"^dataset\.classes: need at least one sample per class, got 81 classes "

@@ -29,11 +29,11 @@ def _dense_capture(seed, out_dim=3, in_dim=4, m=5):
 def _conv_capture(seed, o=2, c=1, k=3, h=4, w=4, m=3, padding="same"):
     rng = _rng(seed)
     conv = nn.Conv2d.create(c, o, k, padding, h, w, rng)
-    net = nn.Network([conv], "squared_error")
+    net = nn.Network([conv])
     x = rng.standard_normal((c * h * w, m))
-    t = rng.standard_normal((conv.flat_out, m))
+    y = rng.integers(0, conv.flat_out, m)
     fwd = nn.forward(net, x)
-    nn.backward(net, fwd, t)
+    nn.backward(net, fwd, y)
     return fwd.captures[0]
 
 
@@ -48,7 +48,7 @@ def test_damping_hand_value():
 
 
 def test_damping_floor_on_zero_gram():
-    rule = core.DampingRule(alpha=0.1, floor=1e-12)
+    rule = core.DampingRule(alpha=0.1)
     assert core.damping_lambda(np.zeros((2, 2)), rule) == 1e-12
 
 
@@ -67,10 +67,15 @@ def test_damping_fixed_override():
 def test_damping_rule_validation():
     with pytest.raises(ValueError, match="alpha"):
         core.DampingRule(alpha=0.0)
-    with pytest.raises(ValueError, match="floor"):
-        core.DampingRule(floor=-1.0)
     with pytest.raises(ValueError, match="fixed"):
         core.DampingRule(fixed=0.0)
+    # non-finite values are refused when the rule is built, not at the first solve
+    for value in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match=f"^alpha must be positive and finite, got {value}$"):
+            core.DampingRule(alpha=value)
+        with pytest.raises(ValueError, match=f"^fixed damping must be positive and finite, "
+                                              f"got {value}$"):
+            core.DampingRule(fixed=value)
 
 
 # ----------------------------------------------------------- coefficients
@@ -124,6 +129,9 @@ def test_coefficients_rejects_bad_damping():
     for lam in (0.0, -1.0, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="positive and finite"):
             core.coefficients(np.eye(2), lam)
+        # a table that took it would save a file that CoefficientTable.load refuses
+        with pytest.raises(ValueError, match=f"^damping must be positive and finite, got {lam}$"):
+            core.CoefficientTable().accumulate(0, np.array([0.5, 0.5]), lam=lam)
 
 
 def test_coefficient_route_matches_direct_solve(rel_err):
@@ -198,7 +206,7 @@ def test_epoch_one_conv_step_through_u_matches_weighted_input(monkeypatch, rel_e
     conv1 = nn.Conv2d.create(2, 3, 3, "same", 6, 6, rng)
     conv2 = nn.Conv2d.create(3, 4, 3, "valid", 6, 6, rng)
     net = nn.Network([conv1, nn.Relu(), conv2, nn.Relu(),
-                      nn.Dense.create(conv2.flat_out, 3, rng)], "cross_entropy")
+                      nn.Dense.create(conv2.flat_out, 3, rng)])
     x = rng.standard_normal((72, 8))
     y = rng.integers(0, 3, 8)
     rule = core.DampingRule(alpha=0.05)
@@ -238,7 +246,7 @@ def test_epoch_one_step_on_blocked_conv_layer_matches_explicit_u(monkeypatch, re
     conv1 = nn.Conv2d.create(2, 5, 3, "same", 6, 6, rng)
     conv2 = nn.Conv2d.create(5, 4, 3, "valid", 6, 6, rng)
     net = nn.Network([conv1, nn.Relu(), conv2, nn.Relu(),
-                      nn.Dense.create(conv2.flat_out, 3, rng)], "cross_entropy")
+                      nn.Dense.create(conv2.flat_out, 3, rng)])
     x = rng.standard_normal((72, 8))
     y = rng.integers(0, 3, 8)
     rule = core.DampingRule(alpha=0.05)
@@ -287,7 +295,7 @@ def test_precondition_explicit_u_on_a_sample_major_capture_matches_weighted_rout
     # forward keeps a sample-major batch as it is, so the first dense
     # capture is F-ordered and the explicit route must read it as such
     rng = _rng(11)
-    net = nn.Network([nn.Dense.create(5, 3, rng)], "cross_entropy")
+    net = nn.Network([nn.Dense.create(5, 3, rng)])
     x = np.asfortranarray(rng.standard_normal((5, 8)))
     fwd = nn.forward(net, x)
     nn.backward(net, fwd, rng.integers(0, 3, 8))
@@ -364,25 +372,28 @@ def test_precondition_validation():
 
 # ------------------------------------------------------------- step logic
 
-def _one_layer_net(seed, in_dim=2, out_dim=1):
+def _one_layer_net(seed, in_dim=2, out_dim=2):
     rng = _rng(seed)
-    return nn.Network([nn.Dense(rng.standard_normal((out_dim, in_dim)))],
-                      "squared_error")
+    return nn.Network([nn.Dense(rng.standard_normal((out_dim, in_dim)))])
 
 
 def test_single_sample_step_is_damped_newton():
     net = _one_layer_net(12)
     x = np.array([[1.0], [2.0]])
-    t = np.array([[0.0]])
+    y = np.array([0])
     w0 = net.layers[0].weight.copy()
-    # hand gradient for 0.5 || w x - t ||^2 on one sample
-    g = (float(w0[0] @ x[:, 0]) - t[0, 0]) * x[:, 0]
-    gtg = float(g @ g)
+    # hand gradient of softmax cross-entropy on one sample: z x^T with
+    # z = softmax(w x) - one-hot(y)
+    logits = w0 @ x[:, 0]
+    z = np.exp(logits) / np.exp(logits).sum()
+    z[y[0]] -= 1.0
+    g = np.outer(z, x[:, 0])
+    gtg = float(np.sum(g * g))
     rule = core.DampingRule(alpha=0.005)
     lam = rule.alpha * gtg  # Frobenius norm of the 1x1 Gram
     eta = 0.7
-    core.preconditioned_step(net, x, t, eta, rule)
-    want = w0 - eta * (g / (lam + gtg))[None, :]
+    core.preconditioned_step(net, x, y, eta, rule)
+    want = w0 - eta * g / (lam + gtg)
     assert np.abs(net.layers[0].weight - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
@@ -390,7 +401,7 @@ def test_huge_damping_step_is_sgd_step():
     net = _one_layer_net(13, in_dim=3, out_dim=2)
     rng = _rng(14)
     x = rng.standard_normal((3, 4))
-    t = rng.standard_normal((2, 4))
+    t = rng.integers(0, 2, 4)
     twin = _clone_net(net)
     lam = 1e12
     eta = lam * 0.05
@@ -404,13 +415,14 @@ def test_huge_damping_step_is_sgd_step():
 
 
 def test_zero_gradient_batch_produces_zero_step():
-    net = nn.Network([nn.Dense(np.array([[1.0, 0.0], [0.0, 1.0]]), np.zeros(2))],
-                     "squared_error")
-    x = _rng(15).standard_normal((2, 3))
-    t = x.copy()  # outputs equal targets, so every per-sample gradient is 0
+    net = nn.Network([nn.Dense(np.array([[1.0, 0.0], [0.0, 1.0]]), np.zeros(2))])
+    y = np.array([0, 1, 1])
+    # logits 1000 * one-hot(y): in float64 the softmax is exactly the
+    # one-hot, so every per-sample gradient is 0
+    x = 1000.0 * np.eye(2)[:, y]
     w0 = net.layers[0].weight.copy()
     b0 = net.layers[0].bias.copy()
-    loss = core.preconditioned_step(net, x, t, eta=0.5, rule=core.DampingRule()).loss
+    loss = core.preconditioned_step(net, x, y, eta=0.5, rule=core.DampingRule()).loss
     assert loss == 0.0
     assert np.array_equal(net.layers[0].weight, w0)
     assert np.array_equal(net.layers[0].bias, b0)
@@ -418,9 +430,9 @@ def test_zero_gradient_batch_produces_zero_step():
 
 def test_bias_takes_plain_gradient_path():
     rng = _rng(16)
-    net = nn.Network([nn.Dense.create(3, 2, rng)], "squared_error")
+    net = nn.Network([nn.Dense.create(3, 2, rng)])
     x = rng.standard_normal((3, 4))
-    t = rng.standard_normal((2, 4))
+    t = rng.integers(0, 2, 4)
     twin = _clone_net(net)
     eta = 0.1
     core.preconditioned_step(net, x, t, eta, core.DampingRule())
@@ -433,7 +445,7 @@ def test_bias_takes_plain_gradient_path():
 def test_solve_failure_names_the_layer(monkeypatch):
     net = _one_layer_net(17)
     x = np.array([[1.0], [2.0]])
-    t = np.array([[0.0]])
+    t = np.array([0])
 
     def corrupt_gram(cap):
         return np.array([[-10.0]])
@@ -575,12 +587,9 @@ def test_table_load_rejects_outside_values(row, message, tmp_path):
 
 def _toy_problem(seed, m=4):
     rng = _rng(seed)
-    net = nn.Network(
-        [nn.Dense.create(3, 4, rng), nn.Relu(), nn.Dense.create(4, 2, rng)],
-        "squared_error",
-    )
+    net = nn.Network([nn.Dense.create(3, 4, rng), nn.Relu(), nn.Dense.create(4, 2, rng)])
     x = rng.standard_normal((3, m))
-    t = rng.standard_normal((2, m))
+    t = rng.integers(0, 2, m)
     return net, x, t
 
 
@@ -605,7 +614,7 @@ def test_shared_step_rejects_batch_size_mismatch():
     core.epoch_one_step(net, x, t, table, 0.1, core.DampingRule())
     table.finalize()
     with pytest.raises(core.TableStateError, match="batches of 4"):
-        core.shared_step(net, x[:, :3], t[:, :3], table, 0.1)
+        core.shared_step(net, x[:, :3], t[:3], table, 0.1)
 
 
 def _fresh_and_shared_steps(net, x, t, rule):
@@ -635,7 +644,7 @@ def test_shared_step_matches_fresh_conv_step_on_same_batch(rel_err):
     conv1 = nn.Conv2d.create(2, 3, 3, "same", 5, 5, rng)
     conv2 = nn.Conv2d.create(3, 2, 3, "valid", 5, 5, rng)
     net = nn.Network([conv1, nn.Relu(), conv2, nn.Relu(),
-                      nn.Dense.create(conv2.flat_out, 3, rng)], "cross_entropy")
+                      nn.Dense.create(conv2.flat_out, 3, rng)])
     x = rng.standard_normal((50, 6))
     t = rng.integers(0, 3, 6)
     fresh, shared = _fresh_and_shared_steps(net, x, t, core.DampingRule(alpha=0.05))
@@ -677,7 +686,7 @@ def test_shared_coefficients_attach_to_slots_not_samples():
     core.shared_step(a, x, t, table, 0.1)
     perm = np.array([2, 0, 3, 1])
     b = _clone_net(net)
-    core.shared_step(b, x[:, perm], t[:, perm], table, 0.1)
+    core.shared_step(b, x[:, perm], t[perm], table, 0.1)
     moved = max(np.abs(a.parameters()[n] - b.parameters()[n]).max()
                 for n in a.parameters())
     assert moved > 1e-6  # non-uniform coefficients see the slot order
@@ -689,7 +698,7 @@ def test_shared_coefficients_attach_to_slots_not_samples():
     c = _clone_net(net)
     d = _clone_net(net)
     core.shared_step(c, x, t, uniform, 0.1)
-    core.shared_step(d, x[:, perm], t[:, perm], uniform, 0.1)
+    core.shared_step(d, x[:, perm], t[perm], uniform, 0.1)
     for n, p in c.parameters().items():
         assert np.abs(p - d.parameters()[n]).max() <= 1e-12
 

@@ -1,7 +1,7 @@
 """Forward/backward correctness of the dense+conv engine.
 
 The load-bearing checks are finite-difference oracles: every assembled
-gradient (weights and biases, dense and conv, both losses) must match
+gradient (weights and biases, dense and conv) must match
 central differences of the batch loss.  Conv forward is additionally
 checked against a direct nested-loop convolution written here.
 """
@@ -19,40 +19,34 @@ def _rng(seed):
 
 
 def _batch_loss(net, x, y):
-    return nn.loss_value(net.loss, nn.forward(net, x).outputs, y)
+    return nn.loss_value(nn.forward(net, x).outputs, y)
 
 
-def _dense_net(seed, loss="cross_entropy"):
+def _dense_net(seed):
     rng = _rng(seed)
-    return nn.Network(
-        [
-            nn.Dense.create(4, 5, rng),
-            nn.Relu(),
-            nn.Dense.create(5, 3, rng),
-        ],
-        loss,
-    )
+    return nn.Network([
+        nn.Dense.create(4, 5, rng),
+        nn.Relu(),
+        nn.Dense.create(5, 3, rng),
+    ])
 
 
-def _conv_net(seed, loss="cross_entropy"):
+def _conv_net(seed):
     rng = _rng(seed)
     conv = nn.Conv2d.create(1, 2, 3, "same", 4, 4, rng)
-    return nn.Network(
-        [conv, nn.Relu(), nn.Dense.create(conv.flat_out, 3, rng)],
-        loss,
-    )
+    return nn.Network([conv, nn.Relu(), nn.Dense.create(conv.flat_out, 3, rng)])
 
 
 # --------------------------------------------------------------- forward
 
 def test_identity_dense_prediction():
-    net = nn.Network([nn.Dense(np.eye(2), np.zeros(2))], "squared_error")
+    net = nn.Network([nn.Dense(np.eye(2), np.zeros(2))])
     out = nn.forward(net, np.array([[1.0], [2.0]])).outputs
     assert np.array_equal(out, [[1.0], [2.0]])
 
 
 def test_relu_elementwise():
-    net = nn.Network([nn.Dense(np.eye(2)), nn.Relu()], "squared_error")
+    net = nn.Network([nn.Dense(np.eye(2)), nn.Relu()])
     out = nn.forward(net, np.array([[-1.0], [2.0]])).outputs
     assert np.array_equal(out, [[0.0], [2.0]])
 
@@ -79,7 +73,7 @@ def test_conv_1x1_kernel_is_dense_per_pixel():
     w = rng.standard_normal((3, 2))
     b = rng.standard_normal(3)
     conv = nn.Conv2d(w, b, in_channels=2, kernel=1, padding="same", in_h=2, in_w=2)
-    net = nn.Network([conv], "squared_error")
+    net = nn.Network([conv])
     x = rng.standard_normal((2 * 2 * 2, 5))
     got = nn.forward(net, x).outputs
     # dense oracle: the same map applied independently at each pixel
@@ -109,7 +103,7 @@ def _loop_conv(x_img, weight, bias, kernel, pad):
 def test_conv_forward_matches_loop_oracle(padding, pad):
     rng = _rng(2)
     conv = nn.Conv2d.create(2, 3, 3, padding, 5, 4, rng)
-    net = nn.Network([conv], "squared_error")
+    net = nn.Network([conv])
     x = rng.standard_normal((2 * 5 * 4, 3))
     got = nn.forward(net, x).outputs
     for m in range(3):
@@ -135,12 +129,11 @@ def test_layer_validation():
     with pytest.raises(ValueError, match="bias length"):
         nn.Dense(np.eye(3), np.zeros(2))
     with pytest.raises(ValueError, match="expects 5 inputs"):
-        nn.Network([nn.Dense(np.ones((4, 3))), nn.Dense(np.ones((2, 5)))],
-                   "cross_entropy")
+        nn.Network([nn.Dense(np.ones((4, 3))), nn.Dense(np.ones((2, 5)))])
     with pytest.raises(ValueError, match="loss"):
-        nn.Network([nn.Dense(np.eye(2))], "hinge")
+        nn.Network([nn.Dense(np.eye(2))], "squared_error")
     with pytest.raises(ValueError, match="no parameterized layers"):
-        nn.Network([nn.Relu()], "cross_entropy")
+        nn.Network([nn.Relu()])
 
 
 # ------------------------------------------------------------ loss values
@@ -149,43 +142,30 @@ def test_cross_entropy_uniform_logits():
     for k in (2, 5, 10):
         out = np.zeros((k, 3))
         y = np.array([0, 1, k - 1][:3]) % k
-        assert abs(nn.loss_value("cross_entropy", out, y) - math.log(k)) <= 1e-12
+        assert abs(nn.loss_value(out, y) - math.log(k)) <= 1e-12
 
 
 def test_cross_entropy_confident_prediction_is_zero():
     out = np.full((4, 2), -1000.0)
     out[1, 0] = 1000.0
     out[3, 1] = 1000.0
-    assert nn.loss_value("cross_entropy", out, np.array([1, 3])) == 0.0
-
-
-def test_squared_error_exact_match_is_zero():
-    t = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert nn.loss_value("squared_error", t, t) == 0.0
-
-
-def test_squared_error_hand_value():
-    out = np.array([[1.0], [2.0]])
-    t = np.array([[0.0], [0.0]])
-    assert nn.loss_value("squared_error", out, t) == 2.5
+    assert nn.loss_value(out, np.array([1, 3])) == 0.0
 
 
 def test_loss_validation():
-    with pytest.raises(ValueError, match="loss"):
-        nn.loss_value("other", np.zeros((2, 2)), np.zeros(2))
     with pytest.raises(ValueError, match="class labels"):
-        nn.loss_value("cross_entropy", np.zeros((2, 2)), np.zeros(3, dtype=int))
+        nn.loss_value(np.zeros((2, 2)), np.zeros(3, dtype=int))
+    with pytest.raises(ValueError, match="class labels"):
+        nn.loss_value(np.zeros((2, 2)), np.zeros((2, 2)))
     with pytest.raises(ValueError, match="invalid class index"):
-        nn.loss_value("cross_entropy", np.zeros((2, 2)), np.array([0, 5]))
-    with pytest.raises(ValueError, match="targets shape"):
-        nn.loss_value("squared_error", np.zeros((2, 2)), np.zeros((3, 2)))
+        nn.loss_value(np.zeros((2, 2)), np.array([0, 5]))
 
 
 # ---------------------------------------------------------- backward / Z
 
 def test_cross_entropy_z_is_softmax_minus_onehot():
     rng = _rng(5)
-    net = nn.Network([nn.Dense(rng.standard_normal((3, 4)))], "cross_entropy")
+    net = nn.Network([nn.Dense(rng.standard_normal((3, 4)))])
     x = rng.standard_normal((4, 6))
     y = rng.integers(0, 3, 6)
     fwd = nn.forward(net, x)
@@ -197,25 +177,11 @@ def test_cross_entropy_z_is_softmax_minus_onehot():
     assert np.abs(fwd.captures[0].z - want).max() <= 1e-12
 
 
-def test_squared_error_z_is_residual():
-    rng = _rng(6)
-    net = nn.Network([nn.Dense(rng.standard_normal((2, 3)))], "squared_error")
-    x = rng.standard_normal((3, 4))
-    t = rng.standard_normal((2, 4))
-    fwd = nn.forward(net, x)
-    nn.backward(net, fwd, t)
-    assert np.array_equal(fwd.captures[0].z, fwd.outputs - t)
-
-
-@pytest.mark.parametrize("loss", ["cross_entropy", "squared_error"])
-def test_dense_gradients_match_finite_differences(loss, rel_err, fd_grad):
+def test_dense_gradients_match_finite_differences(rel_err, fd_grad):
     rng = _rng(7)
-    net = _dense_net(7, loss)
+    net = _dense_net(7)
     x = rng.standard_normal((4, 6))
-    if loss == "cross_entropy":
-        y = rng.integers(0, 3, 6)
-    else:
-        y = rng.standard_normal((3, 6))
+    y = rng.integers(0, 3, 6)
     fwd = nn.forward(net, x)
     bwd = nn.backward(net, fwd, y)
     grads = nn.weight_gradients(net, fwd)

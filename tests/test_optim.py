@@ -36,12 +36,8 @@ def test_momentum_buffer_recurrence():
 
 def _toy(seed, m=4):
     rng = _rng(seed)
-    net = nn.Network(
-        [nn.Dense.create(3, 4, rng), nn.Relu(), nn.Dense.create(4, 2, rng)],
-        "squared_error",
-    )
-    batches = [(rng.standard_normal((3, m)), rng.standard_normal((2, m)))
-               for _ in range(5)]
+    net = nn.Network([nn.Dense.create(3, 4, rng), nn.Relu(), nn.Dense.create(4, 2, rng)])
+    batches = [(rng.standard_normal((3, m)), rng.integers(0, 2, m)) for _ in range(5)]
     return net, batches
 
 

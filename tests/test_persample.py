@@ -23,11 +23,11 @@ def _conv_capture(seed, o=2, c=1, k=3, h=4, w=4, m=3, padding="same"):
     """Real captures from a conv forward/backward, not synthetic shapes."""
     rng = _rng(seed)
     conv = nn.Conv2d.create(c, o, k, padding, h, w, rng)
-    net = nn.Network([conv], "squared_error")
+    net = nn.Network([conv])
     x = rng.standard_normal((c * h * w, m))
-    t = rng.standard_normal((conv.flat_out, m))
+    y = rng.integers(0, conv.flat_out, m)
     fwd = nn.forward(net, x)
-    nn.backward(net, fwd, t)
+    nn.backward(net, fwd, y)
     return fwd.captures[0]
 
 
@@ -124,16 +124,16 @@ def test_u_conv_1x1_image_matches_dense_gram():
 def test_u_conv_columns_match_per_sample_finite_differences(rel_err, fd_grad):
     rng = _rng(10)
     conv = nn.Conv2d.create(1, 2, 3, "same", 3, 3, rng)
-    net = nn.Network([conv], "squared_error")
+    net = nn.Network([conv])
     x = rng.standard_normal((9, 3))
-    t = rng.standard_normal((conv.flat_out, 3))
+    y = rng.integers(0, conv.flat_out, 3)
     fwd = nn.forward(net, x)
-    nn.backward(net, fwd, t)
+    nn.backward(net, fwd, y)
     u = persample.build_u_conv(fwd.captures[0])
     for m in range(3):
         def sample_loss(m=m):
             out = nn.forward(net, x[:, m : m + 1]).outputs
-            return nn.loss_value("squared_error", out, t[:, m : m + 1])
+            return nn.loss_value(out, y[m : m + 1])
         want = fd_grad(sample_loss, conv.weight)
         assert rel_err(u[:, m], want.reshape(-1)) <= 1e-5
 

@@ -24,14 +24,12 @@ def _rng(seed):
 
 
 def _dense_net(rng):
-    return nn.Network([nn.Dense.create(6, 5, rng), nn.Relu(), nn.Dense.create(5, 3, rng)],
-                      "cross_entropy")
+    return nn.Network([nn.Dense.create(6, 5, rng), nn.Relu(), nn.Dense.create(5, 3, rng)])
 
 
 def _conv_net(rng, padding):
     conv = nn.Conv2d.create(2, 3, 3, padding, 5, 5, rng)
-    return nn.Network([conv, nn.Relu(), nn.Dense.create(conv.flat_out, 3, rng)],
-                      "cross_entropy")
+    return nn.Network([conv, nn.Relu(), nn.Dense.create(conv.flat_out, 3, rng)])
 
 
 def _split(net, n, rng):
@@ -50,7 +48,7 @@ def test_chunked_evaluate_matches_one_pass(make, batch):
     net = make(rng)
     ds = _split(net, N, rng)
     outputs = nn.forward(net, ds.inputs).outputs
-    want_loss = nn.loss_value(net.loss, outputs, ds.targets)
+    want_loss = nn.loss_value(outputs, ds.targets)
     want_acc = float((outputs.argmax(axis=0) == ds.targets).mean())
     loss, acc = evaluate(net, ds, batch)
     assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
@@ -72,8 +70,7 @@ def test_evaluate_memory_tracks_the_batch_not_the_split():
     rng = _rng(7)
     batch = 32
     conv = nn.Conv2d.create(4, 8, 3, "same", 8, 8, rng)
-    net = nn.Network([conv, nn.Relu(), nn.Dense.create(conv.flat_out, 3, rng)],
-                     "cross_entropy")
+    net = nn.Network([conv, nn.Relu(), nn.Dense.create(conv.flat_out, 3, rng)])
     one = _split(net, batch, rng)
     eight = _split(net, 8 * batch, rng)
     assert _eval_peak(net, eight, batch) <= 2 * _eval_peak(net, one, batch)
@@ -93,7 +90,7 @@ input = 5
 layer = dense 5 6
 layer = relu
 layer = dense 6 3
-loss = {loss}
+loss = cross_entropy
 
 [train]
 optimizer = {kind}
@@ -109,9 +106,9 @@ bench = {out}/bench.csv
 STEPS, BATCH, EPOCHS = 5, 8, 4
 
 
-def _load(tmp_path, kind="fngd", loss="cross_entropy"):
+def _load(tmp_path, kind="fngd"):
     path = tmp_path / f"{kind}.cfg"
-    path.write_text(RUN.format(kind=kind, loss=loss, out=tmp_path / "out"))
+    path.write_text(RUN.format(kind=kind, out=tmp_path / "out"))
     return load_train_config(path)
 
 
