@@ -100,9 +100,10 @@ def _upper_factor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     is left over and is not part of U.
     """
     n = a.shape[0]
-    w = np.zeros((n, n + 1 + min(n, BLOCK)))
+    w = np.empty((n, n + 1 + min(n, BLOCK)))
     w[:, :n] = a
     w[:, n] = b
+    w[:, n + 1 :] = 0.0
     rows = np.arange(n)
     w[rows, n + 1 + rows % BLOCK] = 1.0
     for k0 in range(0, n, BLOCK):

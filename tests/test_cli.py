@@ -136,18 +136,21 @@ def test_conv_layer_over_one_u_block_trains(tmp_path, out_dir, monkeypatch):
         "input = 64 8 8\nlayer = conv 64 128 3 same\nlayer = relu\nlayer = dense 8192 2",
     ).replace("batch_size = 8", "batch_size = 128")
     text = text.replace("n = 40", "n = 256").replace("features = 5", "features = 4096")
-    blocks = []
+    blocks, copies = [], []
     real = persample.build_u_conv
 
-    def recording(capture, channels=slice(None)):
+    def recording(capture, channels=slice(None), xm=None):
         blocks.append((channels.start, channels.stop))
-        return real(capture, channels)
+        copies.append(None if xm is None else id(xm))
+        return real(capture, channels, xm)
 
     monkeypatch.setattr(persample, "build_u_conv", recording)
     assert main(["train", "--config", str(_write_cfg(tmp_path, text))]) == 0
     # two epoch-one steps, each over blocks of 113 channels (the most
     # whose rows fit the budget) and then the last 15
     assert blocks == [(0, 113), (113, 226)] * 2
+    # each step copies X to sample-major once and hands both blocks that copy
+    assert None not in copies and copies[0] == copies[1] and copies[2] == copies[3]
     rows = _read_metrics(out_dir / "metrics.csv")
     assert [(r["epoch"], r["split"]) for r in rows] == [
         ("1", "train"), ("1", "test"), ("2", "train"), ("2", "test")]

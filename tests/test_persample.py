@@ -94,6 +94,27 @@ def test_gram_psd_within_tolerance():
     assert eigs[0] >= -1e-10 * np.linalg.norm(g)
 
 
+@pytest.mark.parametrize("out_dim", [1, 10, 128])
+@pytest.mark.parametrize("m", [129, 256, 300, 513])
+def test_gram_dense_in_strips_matches_khatri_rao(m, out_dim):
+    # more than one strip, including a last strip of one row (129, 513)
+    assert m > persample.STRIP
+    cap = _dense_capture(40 + m, out_dim=out_dim, in_dim=5, m=m)
+    u = linalg.khatri_rao(cap.z, cap.x)
+    want = u.T @ u
+    got = persample.gram_dense(cap)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.array_equal(got, got.T)
+
+
+@pytest.mark.parametrize("m", [2, 64, 128])
+def test_gram_dense_in_one_strip_is_the_whole_product(m):
+    assert m <= persample.STRIP
+    cap = _dense_capture(50 + m, out_dim=10, in_dim=30, m=m)
+    want = (cap.z.T @ cap.z) * (cap.x.T @ cap.x)
+    assert np.array_equal(persample.gram_dense(cap), want)
+
+
 def test_gram_dense_requires_backward_and_kind():
     cap = nn.LayerCapture(0, "dense", np.zeros((2, 3)))
     with pytest.raises(ValueError, match="run backward first"):
@@ -188,6 +209,19 @@ def test_blocked_gram_matches_one_block(k, padding, width, rel_err):
         short, short_u = persample.gram(cap, u_budget=_block_budget(cap, width) - 1)
         assert rel_err(short, whole) <= 1e-12
         assert (short_u is None) == (width - 1 < 5)
+
+
+@pytest.mark.parametrize("width", [1, 2, 4])
+def test_blocked_gram_is_bitwise_the_one_block_gram(width):
+    # small integers make every product and sum exact, so the blocks' sum
+    # must equal the one-block Gram bit for bit whatever the order
+    rng = _rng(60 + width)
+    cap = nn.LayerCapture(0, "conv", rng.integers(-3, 4, (18, 30, 7)).astype(float))
+    cap.z = rng.integers(-3, 4, (5, 30, 7)).astype(float)
+    whole, whole_u = persample.gram(cap)
+    got, got_u = persample.gram(cap, u_budget=_block_budget(cap, width))
+    assert whole_u is not None and got_u is None
+    assert np.array_equal(got, whole)
 
 
 def test_u_conv_channel_range_is_rows_of_u(rel_err):
