@@ -79,10 +79,10 @@ def build_u_conv(capture: LayerCapture, channels: slice = slice(None),
 
     Column m is the flattened weight gradient of sample m, summed over
     patch positions: Z_m X_m^T with Z_m (out, S) and X_m (in*k^2, S).
-    xm is `_sample_major(capture.x)`, made here when not given, so that a
-    layer built in several blocks copies X once.  U is returned
-    sample-major (its transpose is C-contiguous), the layout the batched
-    product writes and `gram_conv` reads without a copy.
+    xm is X in sample-major order, (M, in*k^2, S), made here when not
+    given, so that a layer built in several blocks copies X once.  U is
+    returned sample-major (its transpose is C-contiguous), the layout the
+    batched product writes and `gram_conv` reads without a copy.
     """
     if capture.kind != "conv":
         raise ValueError(f"expected a conv capture, got {capture.kind!r}")
