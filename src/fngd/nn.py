@@ -224,7 +224,9 @@ def _im2col(flat: np.ndarray, layer: Conv2d) -> np.ndarray:
     img = flat.reshape(c, h, w, m)
     pad = (k - 1) // 2 if layer.padding == "same" else 0
     if pad:
-        img = np.pad(img, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+        padded = np.zeros((c, h + 2 * pad, w + 2 * pad, m))
+        padded[:, pad : pad + h, pad : pad + w, :] = img
+        img = padded
     oh, ow = layer.out_h, layer.out_w
     cols = np.empty((c, k, k, oh, ow, m))
     for kh in range(k):
@@ -249,8 +251,14 @@ def _col2im(cols: np.ndarray, layer: Conv2d) -> np.ndarray:
 
 
 def forward(net: Network, x_batch) -> ForwardPass:
-    """Run the stack, capturing every preconditioned layer's input."""
-    cur = linalg.as_matrix(x_batch)
+    """Run the stack, capturing every preconditioned layer's input.
+
+    Forward never writes into its input: a ReLU on the caller's batch
+    makes a new array.  Every other bias add and ReLU acts in place on
+    the array its layer's GEMM just made, so each activation is written
+    once.
+    """
+    batch = cur = linalg.as_matrix(x_batch)
     if cur.shape[0] != net.in_dim:
         raise ValueError(f"network expects {net.in_dim} features, got {cur.shape[0]}")
     captures = []
@@ -259,7 +267,7 @@ def forward(net: Network, x_batch) -> ForwardPass:
             captures.append(LayerCapture(i, "dense", cur))
             cur = layer.weight @ cur
             if layer.bias is not None:
-                cur = cur + layer.bias[:, None]
+                cur += layer.bias[:, None]
         elif layer.kind == "conv":
             m = cur.shape[1]
             patches = _im2col(cur, layer)
@@ -267,12 +275,15 @@ def forward(net: Network, x_batch) -> ForwardPass:
             out = layer.weight @ patches.reshape(patches.shape[0], -1)
             out = out.reshape(layer.out_channels, layer.patch_count, m)
             if layer.bias is not None:
-                out = out + layer.bias[:, None, None]
+                out += layer.bias[:, None, None]
             cur = out.reshape(layer.flat_out, m)
         else:
             mask = cur > 0.0
             captures.append(LayerCapture(i, "relu", mask))
-            cur = cur * mask
+            if cur is batch:
+                cur = cur * mask
+            else:
+                cur *= mask
     return ForwardPass(cur, captures)
 
 
@@ -312,6 +323,10 @@ def backward(net: Network, fwd: ForwardPass, targets) -> BackwardPass:
     Weight gradients are deliberately not formed here: consumers build
     either the batch mean (weight_gradients) or a weighted sum from the
     captured X and Z.
+
+    A ReLU masks the incoming gradient in place.  That array is always
+    one the loss, a GEMM or _col2im has just made, and no capture holds
+    it: each layer's captured Z is followed by W^T Z, a new array.
     """
     losses, d = _per_sample_losses_and_grads(fwd.outputs, targets)
     bias_grads: dict[str, np.ndarray] = {}
@@ -319,13 +334,14 @@ def backward(net: Network, fwd: ForwardPass, targets) -> BackwardPass:
         layer = net.layers[i]
         cap = fwd.captures[i]
         if layer.kind == "relu":
-            d = d * cap.x
+            d *= cap.x
             continue
         # A dense Z is a conv Z with one patch position: (out, M) is (out, 1, M).
         o, m = layer.weight.shape[0], d.shape[1]
         cap.z = d.reshape(o, layer.patch_count, m) if layer.kind == "conv" else d
         if layer.bias is not None:
-            bias_grads[f"layer{i}.bias"] = d.reshape(o, -1, m).sum(axis=1).mean(axis=1)
+            per_sample = cap.z.sum(axis=1) if layer.kind == "conv" else d
+            bias_grads[f"layer{i}.bias"] = per_sample.mean(axis=1)
         if i:
             d = layer.weight.T @ d.reshape(o, -1)
             if layer.kind == "conv":

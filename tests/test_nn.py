@@ -62,6 +62,19 @@ def test_forward_keeps_a_sample_major_batch_uncopied():
     assert np.abs(fwd.outputs - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def test_forward_leaves_the_callers_batch_untouched():
+    # A ReLU at layer 0 masks the caller's batch; the ReLUs after a GEMM
+    # mask in place, so this one must make a new array.
+    rng = _rng(17)
+    net = nn.Network([nn.Relu(), nn.Dense.create(4, 3, rng), nn.Relu(),
+                      nn.Dense.create(3, 2, rng)])
+    batch = np.asfortranarray(rng.standard_normal((4, 6)))
+    before = batch.tobytes()
+    fwd = nn.forward(net, batch)
+    assert batch.tobytes() == before
+    assert np.array_equal(fwd.captures[1].x, np.maximum(batch, 0.0))
+
+
 def test_forward_rejects_wrong_feature_count():
     net = _dense_net(0)
     with pytest.raises(ValueError, match="expects 4 features"):
@@ -200,6 +213,30 @@ def test_conv_gradients_match_finite_differences(rel_err, fd_grad):
     bwd = nn.backward(net, fwd, y)
     grads = nn.weight_gradients(net, fwd)
     grads.update(bwd.bias_grads)
+    for name, param in net.parameters().items():
+        want = fd_grad(lambda: _batch_loss(net, x, y), param)
+        assert rel_err(grads[name], want) <= 1e-5, name
+
+
+@pytest.mark.parametrize("kernels", [(1, 3), (3, 5), (5, 1)])
+def test_conv_input_gradients_match_finite_differences(kernels, rel_err, fd_grad):
+    # The second conv forms its input gradient through _col2im, so the
+    # first conv's gradients check every kernel offset of it.
+    k1, k2 = kernels
+    rng = _rng(20 + k2)
+    first = nn.Conv2d.create(2, 3, k1, "same", 6, 5, rng)
+    second = nn.Conv2d.create(3, 2, k2, "valid", 6, 5, rng)
+    net = nn.Network([first, nn.Relu(), second, nn.Relu(),
+                      nn.Dense.create(second.flat_out, 3, rng)])
+    for layer in (first, second):
+        layer.bias[:] = 0.1 * rng.standard_normal(layer.bias.shape)
+    x = rng.standard_normal((first.flat_in, 4))
+    y = rng.integers(0, 3, 4)
+    fwd = nn.forward(net, x)
+    bwd = nn.backward(net, fwd, y)
+    grads = nn.weight_gradients(net, fwd)
+    grads.update(bwd.bias_grads)
+    assert set(grads) == set(net.parameters())
     for name, param in net.parameters().items():
         want = fd_grad(lambda: _batch_loss(net, x, y), param)
         assert rel_err(grads[name], want) <= 1e-5, name

@@ -7,14 +7,17 @@ or dropping a stage fails here, not only when the benchmark runs.  One
 untraced run of the smallest workload covers what its end-to-end
 metrics rely on: loading the config and data, building the network,
 training, and reading the coefficient table back.  One traced run of it
-covers what the traced route reads from a loaded config and checks
-against its oracle on every epoch-one step.
+and one of the conv workload cover what the traced route reads from a
+loaded config and check against its oracle on every epoch-one step,
+the conv run through im2col, the conv Gram and the explicit-U step.
 """
 
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -25,8 +28,8 @@ def test_perfbench_selftest_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-def _run_smallest_workload(trace: str) -> dict:
-    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "mlp-b128",
+def _run_workload(trace: str, workload: str = "mlp-b128") -> dict:
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", "1", "--seconds", "0", "--trace", trace], cwd=ROOT,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
@@ -34,13 +37,14 @@ def _run_smallest_workload(trace: str) -> dict:
 
 
 def test_perfbench_untraced_run_completes_without_failures():
-    result = _run_smallest_workload("0")
+    result = _run_workload("0")
     assert result["failed"] == 0, result
     assert result["attempted"] > 0, result
 
 
-def test_perfbench_traced_run_is_correct_with_no_late_gram_or_solve():
-    result = _run_smallest_workload("1")
+@pytest.mark.parametrize("workload", ["mlp-b128", "conv-b64"])
+def test_perfbench_traced_run_is_correct_with_no_late_gram_or_solve(workload):
+    result = _run_workload("1", workload)
     assert result["correct"] is True, result
     assert result["failed"] == 0, result
     assert result["metrics"]["trace.late_gram_solve_calls"]["value"] == 0, result

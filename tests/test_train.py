@@ -55,6 +55,17 @@ def test_chunked_evaluate_matches_one_pass(make, batch):
     assert acc == want_acc
 
 
+def test_evaluate_leaves_the_split_untouched():
+    # The loaders' sample-major inputs reach a layer-0 ReLU as views.
+    rng = _rng(5)
+    net = nn.Network([nn.Relu(), nn.Dense.create(6, 3, rng)])
+    ds = data.Dataset(np.asfortranarray(rng.standard_normal((6, N))),
+                      rng.integers(0, 3, N), num_classes=3)
+    before = ds.inputs.tobytes()
+    evaluate(net, ds, 4)
+    assert ds.inputs.tobytes() == before
+
+
 def _eval_peak(net, ds, batch):
     tracemalloc.start()
     try:
