@@ -190,32 +190,28 @@ def test_cross_entropy_z_is_softmax_minus_onehot():
     assert np.abs(fwd.captures[0].z - want).max() <= 1e-12
 
 
-def test_dense_gradients_match_finite_differences(rel_err, fd_grad):
-    rng = _rng(7)
-    net = _dense_net(7)
-    x = rng.standard_normal((4, 6))
-    y = rng.integers(0, 3, 6)
+def _check_gradients_against_fd(net, x, y, rel_err, fd_grad):
+    """Every weight and bias gradient matches central differences to 1e-5."""
     fwd = nn.forward(net, x)
     bwd = nn.backward(net, fwd, y)
     grads = nn.weight_gradients(net, fwd)
     grads.update(bwd.bias_grads)
+    assert set(grads) == set(net.parameters())
     for name, param in net.parameters().items():
         want = fd_grad(lambda: _batch_loss(net, x, y), param)
         assert rel_err(grads[name], want) <= 1e-5, name
+
+
+def test_dense_gradients_match_finite_differences(rel_err, fd_grad):
+    rng = _rng(7)
+    x = rng.standard_normal((4, 6))
+    _check_gradients_against_fd(_dense_net(7), x, rng.integers(0, 3, 6), rel_err, fd_grad)
 
 
 def test_conv_gradients_match_finite_differences(rel_err, fd_grad):
     rng = _rng(8)
-    net = _conv_net(8)
     x = rng.standard_normal((16, 4))
-    y = rng.integers(0, 3, 4)
-    fwd = nn.forward(net, x)
-    bwd = nn.backward(net, fwd, y)
-    grads = nn.weight_gradients(net, fwd)
-    grads.update(bwd.bias_grads)
-    for name, param in net.parameters().items():
-        want = fd_grad(lambda: _batch_loss(net, x, y), param)
-        assert rel_err(grads[name], want) <= 1e-5, name
+    _check_gradients_against_fd(_conv_net(8), x, rng.integers(0, 3, 4), rel_err, fd_grad)
 
 
 @pytest.mark.parametrize("kernels", [(1, 3), (3, 5), (5, 1)])
@@ -231,15 +227,7 @@ def test_conv_input_gradients_match_finite_differences(kernels, rel_err, fd_grad
     for layer in (first, second):
         layer.bias[:] = 0.1 * rng.standard_normal(layer.bias.shape)
     x = rng.standard_normal((first.flat_in, 4))
-    y = rng.integers(0, 3, 4)
-    fwd = nn.forward(net, x)
-    bwd = nn.backward(net, fwd, y)
-    grads = nn.weight_gradients(net, fwd)
-    grads.update(bwd.bias_grads)
-    assert set(grads) == set(net.parameters())
-    for name, param in net.parameters().items():
-        want = fd_grad(lambda: _batch_loss(net, x, y), param)
-        assert rel_err(grads[name], want) <= 1e-5, name
+    _check_gradients_against_fd(net, x, rng.integers(0, 3, 4), rel_err, fd_grad)
 
 
 def test_backward_loss_matches_loss_value():
