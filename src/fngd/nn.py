@@ -350,18 +350,28 @@ def backward(net: Network, fwd: ForwardPass, targets) -> BackwardPass:
     return BackwardPass(float(losses.mean()), bias_grads, correct)
 
 
-def weight_gradients(net: Network, fwd: ForwardPass) -> dict[str, np.ndarray]:
-    """Batch-mean weight gradients (1/M) Z X^T assembled from the captures,
-    summed over patch positions; a dense capture has one position.
+def weight_gradients(net: Network, fwd: ForwardPass,
+                     scale: float = 1.0) -> dict[str, np.ndarray]:
+    """scale times the batch-mean weight gradients, (scale/M) Z X^T,
+    assembled from the captures and summed over patch positions; a dense
+    capture has one position.  With scale = lr each result is the SGD
+    step itself.
 
-    The 1/M divides the GEMM's output in place, so each gradient is one
-    weight-sized array written by the GEMM and passed over once more."""
+    scale/M multiplies whichever is smaller, the captured Z (never in
+    place: the capture is left as backward wrote it) or the GEMM's
+    output in place, so each gradient is one weight-sized array written
+    by the GEMM and passed over at most once more."""
     grads = {}
     for i in net.preconditioned():
         z, x = fwd.captures[i].z, fwd.captures[i].x
         if z is None:
             raise RuntimeError(f"layer {i} capture has no Z; run backward first")
-        g = z.reshape(z.shape[0], -1) @ x.reshape(x.shape[0], -1).T
-        g /= z.shape[-1]
+        z2, x2 = z.reshape(z.shape[0], -1), x.reshape(x.shape[0], -1)
+        s = scale / z.shape[-1]
+        if z2.size < z2.shape[0] * x2.shape[0]:
+            g = (s * z2) @ x2.T
+        else:
+            g = z2 @ x2.T
+            g *= s
         grads[f"layer{i}.weight"] = g
     return grads

@@ -1,9 +1,11 @@
-"""First-order baselines, SGD and heavy-ball momentum, and the stepwise
-learning-rate schedule that every optimizer runs under.
+"""The heavy-ball momentum baseline, and the stepwise learning-rate
+schedule that every optimizer runs under.
 
-All steps mutate the parameter arrays in place.  Gradients arrive as a
-dict keyed like Network.parameters(), so the same step functions drive
-any stack of layers.
+The momentum step mutates the parameter arrays in place.  Gradients
+arrive as a dict keyed like Network.parameters(), so the same step
+drives any stack of layers.  Plain SGD needs no step function here:
+nn.weight_gradients(net, fwd, lr) returns its weight steps already
+scaled by lr.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "sgd_step",
     "sgd_momentum_step",
     "lr_schedule",
 ]
@@ -24,23 +25,19 @@ MILESTONES = (0.5, 0.75)
 LR_DECAY = 0.1
 
 
-def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-             lr: float) -> None:
-    """w <- w - lr g.  Each g is scaled by lr in place, so the gradients
-    are consumed: after the call they hold the steps taken."""
-    for name, g in grads.items():
-        g *= lr
-        params[name] -= g
-
-
 def sgd_momentum_step(buffers: dict[str, np.ndarray], params: dict[str, np.ndarray],
                       grads: dict[str, np.ndarray], lr: float) -> None:
     """Heavy-ball update: v <- MOMENTUM v + g, w <- w - lr v.  buffers holds
-    each parameter's v by name, starting empty; the first step sets v = g."""
+    each parameter's v by name, starting empty; the first step sets v = g.
+    Each v is updated in place, so a step makes one weight-sized
+    temporary, lr v."""
     for name, g in grads.items():
         buf = buffers.get(name)
-        buf = g.copy() if buf is None else MOMENTUM * buf + g
-        buffers[name] = buf
+        if buf is None:
+            buffers[name] = buf = g.copy()
+        else:
+            buf *= MOMENTUM
+            buf += g
         params[name] -= lr * buf
 
 

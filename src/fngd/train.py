@@ -184,13 +184,18 @@ class _Runner:
             return core.preconditioned_step(self.net, x, y, lr, self.rule)
         fwd = nn.forward(self.net, x)
         bwd = nn.backward(self.net, fwd, y)
-        grads = nn.weight_gradients(self.net, fwd)
-        grads.update(bwd.bias_grads)
         params = self.net.parameters()
         if self.kind == "sgd":
-            optim.sgd_step(params, grads, lr)
-        else:
-            optim.sgd_momentum_step(self.momentum, params, grads, lr)
+            # lr is folded into the gradient GEMM, so each weight gets one
+            # step-sized array and one pass to subtract it.
+            for name, step in nn.weight_gradients(self.net, fwd, lr).items():
+                params[name] -= step
+            for name, grad in bwd.bias_grads.items():
+                params[name] -= lr * grad
+            return bwd
+        grads = nn.weight_gradients(self.net, fwd)
+        grads.update(bwd.bias_grads)
+        optim.sgd_momentum_step(self.momentum, params, grads, lr)
         return bwd
 
     def epoch(self, epoch: int, lr: float) -> tuple[float, float, float]:
@@ -289,10 +294,14 @@ def _check_splits(cfg: TrainConfig, net: nn.Network, train_ds: data.Dataset,
 def run_train(cfg: TrainConfig, log=None) -> TrainResult:
     """Train once per the config; write metrics and optional coefficients.
 
-    The network and the splits are checked against each other before
-    the metrics file is opened.  The test split, when there is one, is
-    evaluated after every epoch; the training split once, at the end.
+    The network and the splits are checked against each other, and an
+    output.coeffs for an optimizer that builds no table is refused,
+    before the metrics file is opened.  The test split, when there is
+    one, is evaluated after every epoch; the training split once, at
+    the end.
     """
+    if cfg.coeffs_path is not None and cfg.optim.kind not in SHARING:
+        raise ConfigError(f"output.coeffs: {cfg.optim.kind} builds no coefficient table")
     net = build_network(cfg.model, cfg.seed)
     train_ds, test_ds = load_datasets(cfg)
     _check_splits(cfg, net, train_ds, test_ds)
@@ -319,7 +328,7 @@ def run_train(cfg: TrainConfig, log=None) -> TrainResult:
     finally:
         writer.close()
 
-    if cfg.coeffs_path is not None and runner.table is not None:
+    if cfg.coeffs_path is not None:
         runner.table.save(cfg.coeffs_path)
         if log is not None:
             log(f"coefficients saved to {cfg.coeffs_path}")

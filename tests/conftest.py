@@ -2,10 +2,15 @@
 
 import gzip
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+# The suite leaves no bytecode beside the package sources, so a tested
+# checkout runs the same files as a fresh one.
+sys.dont_write_bytecode = True
 
 from fngd.data import IDX_MAGIC_IMAGES, IDX_MAGIC_LABELS
 

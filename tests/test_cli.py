@@ -186,6 +186,22 @@ def test_unknown_key_exits_2_before_any_output(tmp_path, out_dir, capsys, monkey
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("kind", ["sgd", "sgd_momentum", "ngd_smw"])
+def test_coeffs_for_an_optimizer_without_a_table_exits_2_before_any_output(
+        kind, tmp_path, out_dir, capsys, monkeypatch):
+    def no_data(cfg):
+        raise AssertionError("data was read before the output.coeffs check")
+
+    monkeypatch.setattr(train, "load_datasets", no_data)
+    text = CFG.replace("optimizer = fngd", f"optimizer = {kind}")
+    cfg = _write_cfg(tmp_path, text + "\n[output]\ncoeffs = coeffs.csv\n")
+    assert main(["train", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: output.coeffs: {kind} builds no coefficient table\n"
+    assert not out_dir.exists()
+
+
 def test_idx_dataset_with_synthetic_keys_exits_2_before_any_output(tmp_path, out_dir,
                                                                   capsys, monkeypatch):
     imgs, labs = tmp_path / "images.idx", tmp_path / "labels.idx"

@@ -278,6 +278,53 @@ def test_mean_identity_dense_and_conv():
         assert np.abs(u.mean(axis=1) - g).max() <= 1e-12 * scale
 
 
+def _per_sample_gradient_sum(cap):
+    """Sum over samples of each sample's weight gradient, from explicit
+    outer products: one per sample (dense) or per patch, summed over the
+    sample's patches (conv)."""
+    z, x = cap.z, cap.x
+    if cap.kind == "dense":
+        return sum(np.outer(z[:, m], x[:, m]) for m in range(z.shape[-1]))
+    return sum(sum(np.outer(z[:, s, m], x[:, s, m]) for s in range(z.shape[1]))
+               for m in range(z.shape[-1]))
+
+
+def _scale_nets():
+    rng = _rng(15)
+    conv = nn.Conv2d.create(1, 2, 3, "same", 4, 4, rng)
+    return {
+        # (net, batch, whether scale/M multiplies each layer's Z)
+        "dense-z": (nn.Network([nn.Dense.create(12, 8, rng), nn.Relu(),
+                                nn.Dense.create(8, 3, rng)]), 5, [True, True]),
+        "dense-product": (nn.Network([nn.Dense.create(4, 5, rng), nn.Relu(),
+                                      nn.Dense.create(5, 3, rng)]), 9, [False, False]),
+        "conv": (nn.Network([conv, nn.Relu(), nn.Dense.create(conv.flat_out, 3, rng)]),
+                 5, [False, True]),
+    }
+
+
+@pytest.mark.parametrize("name", ["dense-z", "dense-product", "conv"])
+def test_scaled_weight_gradients_match_per_sample_oracle(name, rel_err):
+    # weight_gradients(net, fwd, lr) is lr (1/M) times the sum of the
+    # per-sample gradients, whichever operand the scale lands on; the
+    # default scale is the batch mean Z X^T / M.
+    net, m, on_z = _scale_nets()[name]
+    rng = _rng(16)
+    fwd = nn.forward(net, rng.standard_normal((net.in_dim, m)))
+    nn.backward(net, fwd, rng.integers(0, 3, m))
+    lr = 0.3
+    steps = nn.weight_gradients(net, fwd, lr)
+    means = nn.weight_gradients(net, fwd)
+    for i, z_branch in zip(net.preconditioned(), on_z):
+        cap = fwd.captures[i]
+        w = net.layers[i].weight
+        assert (cap.z.size < w.size) == z_branch
+        key = f"layer{i}.weight"
+        assert rel_err(steps[key], lr * (1.0 / m) * _per_sample_gradient_sum(cap)) <= 1e-12
+        z2, x2 = cap.z.reshape(w.shape[0], -1), cap.x.reshape(w.shape[1], -1)
+        assert rel_err(means[key], z2 @ x2.T / m) <= 1e-14
+
+
 def test_duplicated_sample_duplicates_capture_columns():
     rng = _rng(12)
     net = _dense_net(12)

@@ -13,12 +13,6 @@ def _rng(seed):
 
 # ------------------------------------------------------------- first order
 
-def test_sgd_hand_step():
-    params = {"w": np.array([1.0])}
-    optim.sgd_step(params, {"w": np.array([0.5])}, lr=0.1)
-    assert params["w"][0] == 0.95
-
-
 def test_momentum_buffer_recurrence():
     assert optim.MOMENTUM == 0.9  # the hand values below
     buffers = {}
@@ -30,6 +24,33 @@ def test_momentum_buffer_recurrence():
     optim.sgd_momentum_step(buffers, params, g, lr=0.1)
     assert abs(buffers["w"][0] - 1.9) <= 1e-15
     assert abs(params["w"][0] - (-0.1 - 0.19)) <= 1e-15
+
+
+def test_momentum_steps_match_the_recurrence_bitwise():
+    # Three steps, the last across the first lr milestone; the buffer is
+    # updated in place and the caller's gradients are left alone.
+    rates = optim.lr_schedule(0.2, 4)[:3]
+    assert rates[1] != rates[2]
+    rng = _rng(3)
+    shapes = {"w": (3, 4), "b": (3,)}
+    params = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+    want_w = {name: p.copy() for name, p in params.items()}
+    want_v = {}
+    buffers = {}
+    for step, lr in enumerate(rates):
+        grads = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+        kept = {name: g.copy() for name, g in grads.items()}
+        held = dict(buffers)
+        optim.sgd_momentum_step(buffers, params, grads, lr)
+        for name, g in kept.items():
+            want_v[name] = g if step == 0 else 0.9 * want_v[name] + g
+            want_w[name] = want_w[name] - lr * want_v[name]
+            assert np.array_equal(buffers[name], want_v[name]), (step, name)
+            assert np.array_equal(params[name], want_w[name]), (step, name)
+            assert np.array_equal(grads[name], g), (step, name)
+            assert buffers[name] is not grads[name]
+            if step:
+                assert buffers[name] is held[name], (step, name)
 
 
 # ---------------------------------------------------------------- ngd_smw

@@ -13,6 +13,7 @@ the conv run through im2col, the conv Gram and the explicit-U step.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -20,10 +21,13 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+# The children write no bytecode into the checkout: a later benchmark run
+# there would otherwise load it and read a different peak_rss_mb.
+CHILD_ENV = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
 
 
 def test_perfbench_selftest_passes():
-    proc = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT,
+    proc = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT, env=CHILD_ENV,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
@@ -31,7 +35,7 @@ def test_perfbench_selftest_passes():
 def _run_workload(trace: str, workload: str = "mlp-b128") -> dict:
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", "1", "--seconds", "0", "--trace", trace], cwd=ROOT,
-                          capture_output=True, text=True, timeout=300)
+                          env=CHILD_ENV, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -48,3 +52,4 @@ def test_perfbench_traced_run_is_correct_with_no_late_gram_or_solve(workload):
     assert result["correct"] is True, result
     assert result["failed"] == 0, result
     assert result["metrics"]["trace.late_gram_solve_calls"]["value"] == 0, result
+    assert result["metrics"]["nn.weight_gradients_n"]["value"] > 0, result
