@@ -132,6 +132,13 @@ def _one(sections, section: str, key: str, default=_REQUIRED, cast=str):
         raise ConfigError(f"{section}.{key}: bad value {values[0]!r} ({exc})") from exc
 
 
+# Each weighted layer kind's usage and the count of integers it starts with.
+_LAYER_USAGE = {
+    "dense": ("dense <in> <out> [nobias]", 2),
+    "conv": ("conv <in_ch> <out_ch> <kernel> [same|valid] [nobias]", 3),
+}
+
+
 def _parse_layer(raw: str, index: int) -> LayerSpec:
     where = f"model.layer[{index}]"
     parts = raw.split()
@@ -147,35 +154,23 @@ def _parse_layer(raw: str, index: int) -> LayerSpec:
         if rest:
             raise ConfigError(f"{where}: relu takes no arguments, got {raw!r}")
         return LayerSpec("relu")
-    if kind == "dense":
-        if len(rest) != 2:
-            raise ConfigError(f"{where}: expected 'dense <in> <out> [nobias]', got {raw!r}")
-        try:
-            dims = (int(rest[0]), int(rest[1]))
-        except ValueError as exc:
-            raise ConfigError(f"{where}: bad dimension in {raw!r}") from exc
-        if min(dims) < 1:
-            raise ConfigError(f"{where}: dimensions must be positive, got {dims}")
-        return LayerSpec("dense", dims, bias=bias)
-    if kind == "conv":
-        if len(rest) not in (3, 4):
-            raise ConfigError(
-                f"{where}: expected 'conv <in_ch> <out_ch> <kernel> [same|valid] [nobias]', "
-                f"got {raw!r}"
-            )
-        padding = "same"
-        if len(rest) == 4:
-            padding = rest[3]
-            if padding not in ("same", "valid"):
-                raise ConfigError(f"{where}: padding must be same or valid, got {padding!r}")
-        try:
-            dims = (int(rest[0]), int(rest[1]), int(rest[2]))
-        except ValueError as exc:
-            raise ConfigError(f"{where}: bad dimension in {raw!r}") from exc
-        if min(dims) < 1:
-            raise ConfigError(f"{where}: dimensions must be positive, got {dims}")
-        return LayerSpec("conv", dims, padding=padding, bias=bias)
-    raise ConfigError(f"{where}: unknown layer kind {kind!r}")
+    if kind not in _LAYER_USAGE:
+        raise ConfigError(f"{where}: unknown layer kind {kind!r}")
+    usage, count = _LAYER_USAGE[kind]
+    padding = "same"
+    if kind == "conv" and len(rest) == count + 1:
+        padding = rest.pop()
+        if padding not in ("same", "valid"):
+            raise ConfigError(f"{where}: padding must be same or valid, got {padding!r}")
+    if len(rest) != count:
+        raise ConfigError(f"{where}: expected '{usage}', got {raw!r}")
+    try:
+        dims = tuple(int(p) for p in rest)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: bad dimension in {raw!r}") from exc
+    if min(dims) < 1:
+        raise ConfigError(f"{where}: dimensions must be positive, got {dims}")
+    return LayerSpec(kind, dims, padding=padding, bias=bias)
 
 
 def _parse_model(sections) -> ModelSpec:

@@ -143,33 +143,22 @@ class Network:
         if loss != "cross_entropy":
             raise ValueError(f"loss must be 'cross_entropy', got {loss!r}")
         self.layers = list(layers)
-        dim = None
-        first = None
+        widths = []  # the first weighted layer's inputs, then each one's outputs
         for i, layer in enumerate(self.layers):
-            if layer.kind == "dense":
-                if dim is not None and layer.in_dim != dim:
-                    raise ValueError(
-                        f"layer {i} expects {layer.in_dim} inputs, "
-                        f"previous layer provides {dim}"
-                    )
-                if first is None:
-                    first = layer.in_dim
-                dim = layer.out_dim
-            elif layer.kind == "conv":
-                if dim is not None and layer.flat_in != dim:
-                    raise ValueError(
-                        f"layer {i} expects {layer.flat_in} inputs, "
-                        f"previous layer provides {dim}"
-                    )
-                if first is None:
-                    first = layer.flat_in
-                dim = layer.flat_out
+            if layer.kind in ("dense", "conv"):
+                n_in, n_out = ((layer.in_dim, layer.out_dim) if layer.kind == "dense"
+                               else (layer.flat_in, layer.flat_out))
+                if not widths:
+                    widths.append(n_in)
+                elif n_in != widths[-1]:
+                    raise ValueError(f"layer[{i}]: {layer.kind} expects {n_in} inputs but "
+                                     f"the previous layer provides {widths[-1]}")
+                widths.append(n_out)
             elif layer.kind != "relu":
-                raise ValueError(f"unknown layer kind {layer.kind!r}")
-        if dim is None:
-            raise ValueError("network has no parameterized layers")
-        self.in_dim = first
-        self.out_dim = dim
+                raise ValueError(f"layer[{i}]: unknown layer kind {layer.kind!r}")
+        if not widths:
+            raise ValueError("layer: network has no parameterized layers")
+        self.in_dim, self.out_dim = widths[0], widths[-1]
 
     def parameters(self) -> dict[str, np.ndarray]:
         """Live parameter arrays keyed 'layer<i>.weight' / 'layer<i>.bias'."""

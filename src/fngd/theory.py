@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import core, linalg, persample
+from . import core, linalg, nn, persample
 
 __all__ = [
     "LinearProblem",
@@ -233,13 +233,15 @@ def coefficient_equivalence_check(n: int, m: int, lam: float, seed: int) -> floa
 
 
 def khatri_rao_gram_check(p: int, q: int, m: int, seed: int) -> float:
-    """Error of (A^T A) * (B^T B) against the explicit (A . B) Gram."""
+    """Error of persample.gram_dense, the Gram (Z^T Z) * (X^T X) that
+    training builds for a dense layer with p inputs and q outputs,
+    against the explicit Gram of its per-sample gradients, the columns
+    of the Khatri-Rao product (Z . X)."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    a = rng.standard_normal((p, m))
-    b = rng.standard_normal((q, m))
-    u = linalg.khatri_rao(a, b)
-    fast = (a.T @ a) * (b.T @ b)
-    return _rel_err(fast, u.T @ u)
+    x = rng.standard_normal((p, m))
+    z = rng.standard_normal((q, m))
+    u = linalg.khatri_rao(z, x)
+    return _rel_err(persample.gram_dense(nn.LayerCapture(0, "dense", x, z)), u.T @ u)
 
 
 def _general_eigs(a: np.ndarray) -> np.ndarray:
@@ -373,8 +375,12 @@ def run_checks(seed: int = 0) -> list[CheckResult]:
         q = int(rng.integers(1, 24))
         m = int(rng.integers(1, 17))
         worst = max(worst, khatri_rao_gram_check(p, q, m, seed + 40 + trial))
+    # above persample.STRIP samples, gram_dense builds G in strips and mirrors them
+    strip = persample.STRIP
+    for trial, m in enumerate((strip + 1, 2 * strip, 3 * strip)):
+        worst = max(worst, khatri_rao_gram_check(7, 5, m, seed + 60 + trial))
     results.append(_check("khatri_rao_gram", worst, 1e-12,
-                          "factored Gram vs explicit columnwise-Kronecker Gram"))
+                          "program's factored dense Gram vs explicit Khatri-Rao Gram"))
 
     worst1 = worst2 = 0.0
     for trial in range(10):

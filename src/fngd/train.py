@@ -13,6 +13,7 @@ non-deterministic in the header.
 
 from __future__ import annotations
 
+import math
 import statistics
 import time
 from dataclasses import dataclass, replace
@@ -45,15 +46,13 @@ def build_network(model: ModelSpec, seed: int) -> nn.Network:
     """Instantiate the layer stack with He-normal seeded weights.
 
     Spatial shapes flow through conv layers from model.input_shape;
-    dense layers flatten whatever precedes them.
+    dense layers flatten whatever precedes them.  nn.Network checks each
+    weighted layer's width against the one before it; the first one's is
+    checked here against model.input, so a chain is refused at its first fault.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
-    if len(model.input_shape) == 3:
-        spatial = model.input_shape
-        flat = spatial[0] * spatial[1] * spatial[2]
-    else:
-        spatial = None
-        flat = model.input_shape[0]
+    spatial = model.input_shape if len(model.input_shape) == 3 else None
+    width = math.prod(model.input_shape)  # None once a weighted layer is built
     layers = []
     for i, spec in enumerate(model.layers):
         if spec.kind == "relu":
@@ -61,16 +60,16 @@ def build_network(model: ModelSpec, seed: int) -> nn.Network:
             continue
         if spec.kind == "dense":
             in_dim, out_dim = spec.dims
-            if in_dim != flat:
-                raise ConfigError(
-                    f"model.layer[{i}]: dense expects {in_dim} inputs but the "
-                    f"previous layer provides {flat}"
-                )
+            if width is not None and in_dim != width:
+                raise ConfigError(f"model.layer[{i}]: dense expects {in_dim} inputs but "
+                                  f"the previous layer provides {width}")
             layers.append(nn.Dense.create(in_dim, out_dim, rng, bias=spec.bias))
-            flat, spatial = out_dim, None
+            spatial = width = None
             continue
         in_ch, out_ch, kernel = spec.dims
         if spatial is None:
+            if width is None:  # a width mismatch before this layer comes first
+                _network(layers)
             raise ConfigError(
                 f"model.layer[{i}]: conv needs a spatial input; give model.input "
                 f"as '<channels> <height> <width>'"
@@ -86,12 +85,15 @@ def build_network(model: ModelSpec, seed: int) -> nn.Network:
         except ValueError as exc:  # an unsupported kernel size, or one the input cannot fit
             raise ConfigError(f"model.layer[{i}]: {exc}") from exc
         layers.append(layer)
-        spatial = (out_ch, layer.out_h, layer.out_w)
-        flat = layer.flat_out
+        spatial, width = (out_ch, layer.out_h, layer.out_w), None
+    return _network(layers)
+
+
+def _network(layers) -> nn.Network:
     try:
         return nn.Network(layers)
-    except ValueError as exc:  # no dense or conv layer at all
-        raise ConfigError(f"model.layer: {exc}") from exc
+    except ValueError as exc:  # a width mismatch, or no dense or conv layer at all
+        raise ConfigError(f"model.{exc}") from exc
 
 
 def load_datasets(cfg: TrainConfig) -> tuple[data.Dataset, data.Dataset | None]:
@@ -143,12 +145,24 @@ def evaluate(net: nn.Network, ds: data.Dataset, batch: int) -> tuple[float, floa
          for s in range(0, ds.n, batch)],
         axis=1,
     )
-    loss = nn.loss_value(outputs, ds.targets)
+    # Outputs that overflowed have no loss; nan leaves the report to the caller.
+    loss = nn.loss_value(outputs, ds.targets) if np.isfinite(outputs).all() else math.nan
     return loss, float((outputs.argmax(axis=0) == ds.targets).mean())
 
 
 class TrainingError(RuntimeError):
-    """A training step failed; the message names its epoch and step."""
+    """A training step or evaluation failed; the message says which."""
+
+
+def _evaluate(net: nn.Network, ds: data.Dataset, batch: int, where: str) -> tuple[float, float]:
+    """evaluate, with a loss that is not finite refused as a TrainingError
+    whose message starts with `where`, the epoch and the split.  As in a
+    training step, numpy's overflow warnings are off: the check reports it."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        loss, acc = evaluate(net, ds, batch)
+    if not math.isfinite(loss):
+        raise TrainingError(f"{where}: loss is {loss}")
+    return loss, acc
 
 
 # A step loss above this multiple of max(1, the run's first step loss) means
@@ -273,16 +287,11 @@ def _check_splits(cfg: TrainConfig, net: nn.Network, train_ds: data.Dataset,
                   test_ds: data.Dataset | None) -> None:
     """Refuse splits that do not fit the network or the batch size, before
     any output is opened; each message starts with the key to change."""
-    if train_ds.feature_dim != net.in_dim:
-        raise ConfigError(
-            f"model.input: network expects {net.in_dim} features, dataset "
-            f"provides {train_ds.feature_dim}"
-        )
-    if test_ds is not None and test_ds.feature_dim != net.in_dim:
-        raise ConfigError(
-            f"dataset.test_images: network expects {net.in_dim} features, test split "
-            f"provides {test_ds.feature_dim}"
-        )
+    for key, name, ds in (("model.input", "dataset", train_ds),
+                          ("dataset.test_images", "test split", test_ds)):
+        if ds is not None and ds.feature_dim != net.in_dim:
+            raise ConfigError(f"{key}: network expects {net.in_dim} features, {name} "
+                              f"provides {ds.feature_dim}")
     if cfg.batch_size > train_ds.n:
         raise ConfigError(f"train.batch_size: {cfg.batch_size} exceeds the training "
                           f"split's {train_ds.n} samples")
@@ -316,7 +325,8 @@ def run_train(cfg: TrainConfig, log=None) -> TrainResult:
             line = f"epoch {epoch + 1}/{cfg.epochs} loss={mean_loss:.6f}"
             if test_ds is not None:
                 t0 = time.perf_counter()
-                test_loss, test_acc = evaluate(net, test_ds, cfg.batch_size)
+                test_loss, test_acc = _evaluate(net, test_ds, cfg.batch_size,
+                                                f"epoch {epoch + 1}, test split")
                 eval_ms = (time.perf_counter() - t0) * 1e3
                 final["test_loss"] = test_loss
                 final["test_accuracy"] = test_acc
@@ -324,7 +334,8 @@ def run_train(cfg: TrainConfig, log=None) -> TrainResult:
                 line += f" test_acc={test_acc:.4f}"
             if log is not None:
                 log(line + f" ({wall_ms:.1f} ms)")
-        final["train_accuracy"] = evaluate(net, train_ds, cfg.batch_size)[1]
+        final["train_accuracy"] = _evaluate(net, train_ds, cfg.batch_size,
+                                            f"epoch {cfg.epochs}, train split")[1]
     finally:
         writer.close()
 
@@ -354,8 +365,9 @@ def run_bench(cfg: TrainConfig, log=None) -> Path:
 
     The variants run in lockstep: epoch e of every variant before epoch
     e + 1 of any, so that a burst of host load slows every variant's
-    epoch alike rather than one variant's run.  A failing step is
-    reported with its variant's name.
+    epoch alike rather than one variant's run.  A failing step or
+    evaluation is reported with its variant's name.  Bench writes no
+    coefficient table, so it refuses output.coeffs.
 
     Writes schema fngd-bench-v2: variant, optimizer, phase, epochs_timed,
     median_epoch_ms, ratio_vs_sgd, final_test_accuracy.  A sharing
@@ -364,6 +376,8 @@ def run_bench(cfg: TrainConfig, log=None) -> Path:
     training split's when there is no test split, evaluated once after
     the last epoch.
     """
+    if cfg.coeffs_path is not None:
+        raise ConfigError("output.coeffs: bench writes no coefficient table")
     if cfg.epochs < 4:
         raise ConfigError(f"train.epochs: bench needs at least 4 epochs for stable "
                           f"medians, got {cfg.epochs}")
@@ -382,10 +396,11 @@ def run_bench(cfg: TrainConfig, log=None) -> Path:
                 walls.append(runner.epoch(epoch, lr)[2])
             except TrainingError as exc:
                 raise TrainingError(f"{variant}: {exc}") from exc
-    scored = test_ds if test_ds is not None else train_ds
+    scored, split = (test_ds, "test") if test_ds is not None else (train_ds, "train")
     rows = []
     for (variant, kind, _), net, walls in zip(BENCH_VARIANTS, nets, times):
-        acc = evaluate(net, scored, cfg.batch_size)[1]
+        acc = _evaluate(net, scored, cfg.batch_size,
+                        f"{variant}: epoch {cfg.epochs}, {split} split")[1]
         if kind in SHARING:
             phases = [("epoch1", walls[:1]), ("shared", walls[1:])]
         else:

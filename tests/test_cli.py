@@ -312,6 +312,104 @@ def test_setup_refusal_names_the_key_before_any_output(key, command, changes, tm
     assert not out_dir.exists()
 
 
+CONV_MODEL = "input = 1 3 3\nlayer = conv 1 2 3 same\nlayer = relu\nlayer = dense 18 2"
+CONV_DATA = ("features = 5", "features = 9")
+
+
+def _conv_line(line):
+    """Changes that turn CFG into CONV_MODEL over 9 features, its conv line
+    replaced by `line`."""
+    return [(MODEL, CONV_MODEL.replace("conv 1 2 3 same", line)), CONV_DATA]
+
+
+# Every refusal of the model and the loader's range refusals, by the exact
+# line each prints; the ids name the refused key.
+EXACT_REFUSALS = [
+    pytest.param([("layer = relu", "layer =")], "model.layer[1]: empty layer line",
+                 id="model.layer-empty"),
+    pytest.param([("layer = relu", "layer = relu 3")],
+                 "model.layer[1]: relu takes no arguments, got 'relu 3'",
+                 id="model.layer-relu-argument"),
+    pytest.param([("layer = relu", "layer = tanh")],
+                 "model.layer[1]: unknown layer kind 'tanh'", id="model.layer-unknown-kind"),
+    pytest.param([("dense 4 2", "dense 4 2 2")],
+                 "model.layer[2]: expected 'dense <in> <out> [nobias]', got 'dense 4 2 2'",
+                 id="model.layer-dense-arguments"),
+    pytest.param([("dense 4 2", "dense 4 two")],
+                 "model.layer[2]: bad dimension in 'dense 4 two'",
+                 id="model.layer-dense-non-integer"),
+    pytest.param([("dense 4 2", "dense 4 0")],
+                 "model.layer[2]: dimensions must be positive, got (4, 0)",
+                 id="model.layer-dense-non-positive"),
+    pytest.param(_conv_line("conv 1 2"),
+                 "model.layer[0]: expected 'conv <in_ch> <out_ch> <kernel> [same|valid] "
+                 "[nobias]', got 'conv 1 2'", id="model.layer-conv-arguments"),
+    pytest.param(_conv_line("conv 1 2 3 full"),
+                 "model.layer[0]: padding must be same or valid, got 'full'",
+                 id="model.layer-conv-padding"),
+    pytest.param(_conv_line("conv 1 2 x"), "model.layer[0]: bad dimension in 'conv 1 2 x'",
+                 id="model.layer-conv-non-integer"),
+    pytest.param(_conv_line("conv 1 -2 3"),
+                 "model.layer[0]: dimensions must be positive, got (1, -2, 3)",
+                 id="model.layer-conv-non-positive"),
+    pytest.param([(f"[model]\n{MODEL}\n", "")], "model: section is missing",
+                 id="model-missing"),
+    pytest.param([("input = 5", "input = five")], "model.input: bad shape 'five'",
+                 id="model.input-non-integer"),
+    pytest.param([(MODEL, MODEL + "\nlayer = conv 2 2 1")],
+                 "model.layer[3]: conv needs a spatial input; give model.input as "
+                 "'<channels> <height> <width>'", id="model.layer-conv-after-dense"),
+    pytest.param([(MODEL, CONV_MODEL.replace("dense 18 2", "conv 3 2 3\nlayer = dense 18 2")),
+                  CONV_DATA],
+                 "model.layer[2]: conv expects 3 channels but the previous layer provides 2",
+                 id="model.layer-conv-channels"),
+    pytest.param([("dense 5 4", "dense 5 8"), ("dense 4 2", "dense 9 2")],
+                 "model.layer[2]: dense expects 9 inputs but the previous layer provides 8",
+                 id="model.layer-dense-width"),
+    pytest.param([(MODEL, "input = 5\nlayer = relu")],
+                 "model.layer: network has no parameterized layers",
+                 id="model.layer-no-weights"),
+    pytest.param([("dense 5 4", "dense 6 4")],
+                 "model.layer[0]: dense expects 6 inputs but the previous layer provides 5",
+                 id="model.input-first-dense-5-features"),
+    pytest.param([("dense 5 4", "dense 6 4"), ("features = 5", "features = 6")],
+                 "model.layer[0]: dense expects 6 inputs but the previous layer provides 5",
+                 id="model.input-first-dense-6-features"),
+    # a chain with two faults is refused at the first
+    pytest.param([("dense 5 4", "dense 6 4"), ("dense 4 2", "dense 5 2")],
+                 "model.layer[0]: dense expects 6 inputs but the previous layer provides 5",
+                 id="model.input-before-dense-width"),
+    pytest.param([(MODEL, "input = 1 2 2\nlayer = conv 1 2 1\nlayer = dense 7 4\n"
+                          "layer = conv 4 2 1\nlayer = dense 2 2"),
+                  ("features = 5", "features = 4")],
+                 "model.layer[1]: dense expects 7 inputs but the previous layer provides 8",
+                 id="model.layer-dense-width-before-conv-after-dense"),
+    pytest.param([("n = 40", "n = 0")], "dataset.n: must be positive, got 0",
+                 id="dataset.n"),
+    pytest.param([("test_n = 16", "test_n = -1")],
+                 "dataset.test_n: must be non-negative, got -1", id="dataset.test_n"),
+    pytest.param([("batch_size = 8", "batch_size = 0")],
+                 "train.batch_size: must be positive, got 0", id="train.batch_size"),
+]
+
+
+@pytest.mark.parametrize("changes, message", EXACT_REFUSALS)
+def test_refusal_prints_its_exact_line_before_any_output(changes, message, tmp_path,
+                                                          out_dir, capsys):
+    # four epochs, so that bench gets past its own epoch minimum
+    text = CFG.replace("epochs = 2", "epochs = 4")
+    for old, new in changes:
+        assert old in text
+        text = text.replace(old, new)
+    cfg = _write_cfg(tmp_path, text)
+    for command in ("train", "bench"):
+        assert main([command, "--config", str(cfg)]) == 2, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+        assert not out_dir.exists()
+
+
 def _idx_changes(tmp_path, labels, test_labels=None, images=40, test_images=16):
     """Changes that turn CFG into a config over `images` 2x2 IDX images (and
     `test_images` test images) with the given labels, and the files' paths."""
@@ -459,6 +557,77 @@ def test_diverging_bench_variant_is_named_and_exits_3(tmp_path, out_dir, capsys)
     assert len(err) == 1
     assert re.fullmatch(r"error: sgd: epoch 1, step \d+: loss \S+ exceeds 1e\+06 x max\(1, "
                         r"first step loss \S+\); the run diverged", err[0])
+    assert not out_dir.exists()
+
+
+# One step per epoch: its update overflows the pass that evaluates it, at
+# 1e160 with finite weights and at 1e300 with infinite ones.
+ONE_STEP = (CFG.replace("n = 40", "n = 16").replace("test_n = 16", "test_n = 8")
+            .replace("batch_size = 8", "batch_size = 16").replace("seed = 3\n", ""))
+
+
+# numpy's overflow warnings raise here, so none may reach the user
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", ["sgd", "fngd"])
+@pytest.mark.parametrize("lr", ["1e160", "1e300"])
+def test_evaluation_overflow_names_epoch_and_split_and_exits_3(kind, lr, tmp_path, out_dir,
+                                                               capsys):
+    text = ONE_STEP.replace("optimizer = fngd", f"optimizer = {kind}")
+    text = text.replace("lr = 0.5", f"lr = {lr}")
+    assert main(["train", "--config", str(_write_cfg(tmp_path, text))]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: epoch 1, test split: loss is nan\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_final_training_pass_overflow_names_epoch_and_split_and_exits_3(tmp_path, out_dir,
+                                                                       capsys):
+    # without a test split, the training split's one pass after the last
+    # epoch is the first to see the overflowed weights
+    text = ONE_STEP.replace("test_n = 8", "test_n = 0").replace("epochs = 2", "epochs = 1")
+    text = text.replace("optimizer = fngd", "optimizer = sgd").replace("lr = 0.5", "lr = 1e160")
+    assert main(["train", "--config", str(_write_cfg(tmp_path, text))]) == 3
+    captured = capsys.readouterr()
+    assert "metrics written to" not in captured.out
+    assert captured.err == "error: epoch 1, train split: loss is nan\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_bench_evaluation_overflow_names_the_variant_and_exits_3(tmp_path, out_dir, capsys,
+                                                                 monkeypatch):
+    # no config overflows the evaluation after bench's last epoch without
+    # diverging in a step first, so the weights are scaled just before it
+    real = train.evaluate
+
+    def overflowing(net, ds, batch):
+        for i in net.preconditioned():
+            net.layers[i].weight *= 1e300
+        return real(net, ds, batch)
+
+    monkeypatch.setattr(train, "evaluate", overflowing)
+    text = CFG.replace("epochs = 2", "epochs = 4").replace("lr = 0.5", "lr = 0.1")
+    assert main(["bench", "--config", str(_write_cfg(tmp_path, text))]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: sgd: epoch 4, test split: loss is nan\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("kind", ["fngd", "sgd"])
+def test_bench_refuses_coeffs_before_any_output(kind, tmp_path, out_dir, capsys,
+                                                monkeypatch):
+    def no_data(cfg):
+        raise AssertionError("data was read before the output.coeffs check")
+
+    monkeypatch.setattr(train, "load_datasets", no_data)
+    text = CFG.replace("epochs = 2", "epochs = 4").replace("optimizer = fngd",
+                                                           f"optimizer = {kind}")
+    cfg = _write_cfg(tmp_path, text + "\n[output]\ncoeffs = coeffs.csv\n")
+    assert main(["bench", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: output.coeffs: bench writes no coefficient table\n"
     assert not out_dir.exists()
 
 

@@ -214,14 +214,16 @@ def test_conv_gradients_match_finite_differences(rel_err, fd_grad):
     _check_gradients_against_fd(_conv_net(8), x, rng.integers(0, 3, 4), rel_err, fd_grad)
 
 
+@pytest.mark.parametrize("padding", ["valid", "same"])
 @pytest.mark.parametrize("kernels", [(1, 3), (3, 5), (5, 1)])
-def test_conv_input_gradients_match_finite_differences(kernels, rel_err, fd_grad):
+def test_conv_input_gradients_match_finite_differences(kernels, padding, rel_err, fd_grad):
     # The second conv forms its input gradient through _col2im, so the
-    # first conv's gradients check every kernel offset of it.
+    # first conv's gradients check every kernel offset of it; under same
+    # padding, also the cut that drops the padded border.
     k1, k2 = kernels
     rng = _rng(20 + k2)
     first = nn.Conv2d.create(2, 3, k1, "same", 6, 5, rng)
-    second = nn.Conv2d.create(3, 2, k2, "valid", 6, 5, rng)
+    second = nn.Conv2d.create(3, 2, k2, padding, 6, 5, rng)
     net = nn.Network([first, nn.Relu(), second, nn.Relu(),
                       nn.Dense.create(second.flat_out, 3, rng)])
     for layer in (first, second):
