@@ -146,14 +146,14 @@ def _parse_layer(raw: str, index: int) -> LayerSpec:
         raise ConfigError(f"{where}: empty layer line")
     kind = parts[0]
     rest = parts[1:]
-    bias = True
-    if rest and rest[-1] == "nobias":
-        bias = False
-        rest = rest[:-1]
     if kind == "relu":
         if rest:
             raise ConfigError(f"{where}: relu takes no arguments, got {raw!r}")
         return LayerSpec("relu")
+    bias = True
+    if rest and rest[-1] == "nobias":
+        bias = False
+        rest = rest[:-1]
     if kind not in _LAYER_USAGE:
         raise ConfigError(f"{where}: unknown layer kind {kind!r}")
     usage, count = _LAYER_USAGE[kind]

@@ -43,9 +43,12 @@ class Dataset:
     """Feature matrix (features x samples) plus a 1-D integer vector of
     class indices, one per sample.
 
-    Both loaders build the matrix sample-major, each sample's features
-    contiguous (F order).  A batch `inputs[:, idx]` and an evaluation
-    slice `inputs[:, a:b]` are then F-contiguous too, and `nn.forward`
+    The matrix is held as its loader made it: IDX images as the file's
+    uint8 pixels, synthetic data as float64.  Training and evaluation read
+    samples through `columns`, which hands back float64 features.  Both
+    loaders build the matrix sample-major, each sample's features
+    contiguous (F order).  A batch `columns(idx)` and an evaluation slice
+    `columns(slice(a, b))` are then F-contiguous too, and `nn.forward`
     hands them to BLAS as they are, without a transposing copy.
     """
 
@@ -56,7 +59,10 @@ class Dataset:
     def __post_init__(self):
         if self.inputs.ndim != 2:
             raise ValueError(f"inputs must be 2-D, got shape {self.inputs.shape}")
-        if not np.isfinite(self.inputs).all():
+        if self.inputs.dtype not in (np.uint8, np.float64):
+            raise ValueError(f"inputs must be uint8 pixels or float64, "
+                             f"got {self.inputs.dtype}")
+        if self.inputs.dtype == np.float64 and not np.isfinite(self.inputs).all():
             raise ValueError("inputs must be finite")
         n = self.inputs.shape[1]
         t = self.targets
@@ -72,6 +78,16 @@ class Dataset:
                     f"with {self.num_classes} classes"
                 )
 
+    def columns(self, cols) -> np.ndarray:
+        """float64 features of the samples `cols`, an index array or a slice.
+
+        uint8 pixels are scaled to [0, 1] here, bit for bit the value
+        `pixels.astype(np.float64) / 255.0` gives; float64 inputs come
+        back as they are, a view for a slice.
+        """
+        x = self.inputs[:, cols]
+        return x / 255.0 if x.dtype == np.uint8 else x
+
     @property
     def n(self) -> int:
         return self.inputs.shape[1]
@@ -84,12 +100,13 @@ class Dataset:
 def load_idx(path) -> np.ndarray:
     """Read one IDX file.
 
-    Images (magic 0x00000803) come back as a (rows*cols, n) float64
-    matrix scaled to [0, 1], sample-major like the file: the transpose of
-    a C-contiguous (n, rows*cols) array, so each image's pixels stay
-    contiguous and every batch of columns is F-contiguous.  Labels
-    (magic 0x00000801) come back as a 1-D int64 vector.  Gzip payloads
-    are detected by their two-byte prefix.
+    Images (magic 0x00000803) come back as the file's uint8 pixels, a
+    (rows*cols, n) read-only view of the bytes read: the transpose of a
+    C-contiguous (n, rows*cols) array, so each image's pixels stay
+    contiguous and every batch of columns is F-contiguous.  `Dataset.columns`
+    scales them to [0, 1] for the samples a step or an evaluation chunk
+    reads.  Labels (magic 0x00000801) come back as a 1-D int64 vector.
+    Gzip payloads are detected by their two-byte prefix.
     """
     raw = Path(path).read_bytes()
     if raw[:2] == b"\x1f\x8b":
@@ -115,17 +132,16 @@ def load_idx(path) -> np.ndarray:
         count *= d
     if count > _MAX_IDX_ELEMENTS:
         raise IdxFormatError(f"{path}: IDX dimensions overflow: {dims}")
-    payload = raw[header:]
-    if len(payload) < count:
+    if len(raw) - header < count:
         raise IdxFormatError(
             f"{path}: truncated IDX payload: header promises {count} bytes, "
-            f"file holds {len(payload)}"
+            f"file holds {len(raw) - header}"
         )
-    data = np.frombuffer(payload[:count], dtype=np.uint8)
+    data = np.frombuffer(raw, np.uint8, count, offset=header)
     if magic == IDX_MAGIC_LABELS:
         return data.astype(np.int64)
     n, rows, cols = dims
-    return data.reshape(n, rows * cols).T.astype(np.float64) / 255.0
+    return data.reshape(n, rows * cols).T
 
 
 def synthetic_classification(n: int, d: int, k: int, seed: int) -> Dataset:

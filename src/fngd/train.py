@@ -136,12 +136,13 @@ def evaluate(net: nn.Network, ds: data.Dataset, batch: int) -> tuple[float, floa
     """Loss and top-1 accuracy over the whole split.
 
     The forward pass runs over consecutive column slices of `batch`
-    samples, so evaluation holds no more activations (or conv im2col
-    patches) than a training step does; loss and accuracy are computed
-    once over the concatenated outputs.
+    samples, each read through `Dataset.columns`, so evaluation holds no
+    more float64 inputs, activations (or conv im2col patches) than a
+    training step does; loss and accuracy are computed once over the
+    concatenated outputs.
     """
     outputs = np.concatenate(
-        [nn.forward(net, ds.inputs[:, s:s + batch]).outputs
+        [nn.forward(net, ds.columns(slice(s, s + batch))).outputs
          for s in range(0, ds.n, batch)],
         axis=1,
     )
@@ -226,7 +227,7 @@ class _Runner:
             try:
                 # A diverging step overflows; the loss checks below report it.
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    bwd = self.step(ds.inputs[:, idx], ds.targets[idx], lr)
+                    bwd = self.step(ds.columns(idx), ds.targets[idx], lr)
                 if not np.isfinite(bwd.loss):
                     raise RuntimeError(f"loss is {bwd.loss}")
             except RuntimeError as exc:

@@ -330,6 +330,9 @@ EXACT_REFUSALS = [
     pytest.param([("layer = relu", "layer = relu 3")],
                  "model.layer[1]: relu takes no arguments, got 'relu 3'",
                  id="model.layer-relu-argument"),
+    pytest.param([("layer = relu", "layer = relu nobias")],
+                 "model.layer[1]: relu takes no arguments, got 'relu nobias'",
+                 id="model.layer-relu-nobias"),
     pytest.param([("layer = relu", "layer = tanh")],
                  "model.layer[1]: unknown layer kind 'tanh'", id="model.layer-unknown-kind"),
     pytest.param([("dense 4 2", "dense 4 2 2")],

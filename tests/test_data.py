@@ -20,13 +20,26 @@ def _write(tmp_path, name, blob):
 
 # -------------------------------------------------------------- load_idx
 
+def _assert_scaled_columns(pixels, want):
+    """Dataset.columns scales uint8 pixels bit for bit to the float64
+    `want`, for an index array and for a slice, into F-contiguous batches."""
+    ds = data.Dataset(pixels, np.zeros(pixels.shape[1], dtype=np.int64))
+    n = pixels.shape[1]
+    for cols in (np.arange(n)[::-1], slice(0, n), slice(1, n)):
+        got = ds.columns(cols)
+        assert got.dtype == np.float64 and got.flags.f_contiguous
+        assert got.tobytes(order="F") == want[:, cols].tobytes(order="F")
+
+
 def test_load_images_hand_bytes(tmp_path):
     # two 2x2 images with pixel bytes 0..7; columns are samples
     blob = struct.pack(">IIII", 0x00000803, 2, 2, 2) + bytes(range(8))
     got = data.load_idx(_write(tmp_path, "img.idx", blob))
-    want = np.array([[0, 4], [1, 5], [2, 6], [3, 7]], dtype=float) / 255.0
-    assert got.shape == (4, 2)
-    assert np.array_equal(got, want)
+    pixels = np.array([[0, 4], [1, 5], [2, 6], [3, 7]], dtype=np.uint8)
+    assert got.dtype == np.uint8 and got.shape == (4, 2)
+    assert got.flags.f_contiguous
+    assert np.array_equal(got, pixels)
+    _assert_scaled_columns(got, pixels.astype(float) / 255.0)
 
 
 def test_load_labels_hand_bytes(tmp_path):
@@ -68,8 +81,9 @@ def test_images_round_trip(tmp_path):
     p = tmp_path / "rt.idx"
     write_idx_images(p, imgs)
     got = data.load_idx(p)
-    want = imgs.reshape(5, 12).T / 255.0
-    assert np.array_equal(got, want)
+    assert got.dtype == np.uint8 and got.flags.f_contiguous
+    assert np.array_equal(got, imgs.reshape(5, 12).T)
+    _assert_scaled_columns(got, imgs.reshape(5, 12).T / 255.0)
 
 
 def test_labels_round_trip_gzip(tmp_path):
@@ -114,8 +128,12 @@ def test_dataset_validation():
         data.Dataset(x, np.zeros((2, 5)))
     with pytest.raises(ValueError, match="finite"):
         data.Dataset(np.full((2, 2), np.nan), np.zeros(2, dtype=np.int64))
+    with pytest.raises(ValueError, match="uint8 pixels or float64, got int64"):
+        data.Dataset(np.zeros((3, 4), dtype=np.int64), np.zeros(4, dtype=np.int64))
     ds = data.Dataset(x, np.zeros(4, dtype=np.int64), num_classes=2)
     assert ds.n == 4 and ds.feature_dim == 3
+    # float64 inputs are read as they are: a slice is a view
+    assert np.shares_memory(ds.columns(slice(1, 3)), x)
 
 
 # ------------------------------------------------- synthetic_classification

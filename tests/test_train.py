@@ -2,7 +2,9 @@
 
 Chunked forward passes are checked against one whole-split pass; the
 train rows' running accuracy is recounted from the steps' own forwards,
-and the training split is evaluated once per run.
+and the training split is evaluated once per run.  IDX splits are held
+as uint8 pixels and scaled per batch, with the outputs of pixels scaled
+once at load time.
 """
 
 import csv
@@ -12,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import write_idx_images, write_idx_labels
 from fngd import data, nn, train
 from fngd.config import OPTIMIZERS, load_train_config
 from fngd.train import evaluate
@@ -201,3 +204,85 @@ def test_final_train_accuracy_evaluates_the_trained_weights(tmp_path):
     result = train.run_train(cfg)
     train_ds, _ = train.load_datasets(cfg)
     assert result.final["train_accuracy"] == evaluate(result.net, train_ds, BATCH)[1]
+
+
+IDX_RUN = """\
+[dataset]
+kind = idx
+images = {tmp}/images.idx
+labels = {tmp}/labels.idx
+test_images = {tmp}/test_images.idx
+test_labels = {tmp}/test_labels.idx
+classes = 3
+
+[model]
+input = {input}
+{layers}
+
+[train]
+optimizer = fngd
+lr = 0.3
+epochs = 3
+batch_size = 8
+seed = 5
+
+[output]
+metrics = {out}/metrics.csv
+coeffs = {out}/coeffs.csv
+"""
+IDX_MODELS = {
+    "dense": ("36", "layer = dense 36 6\nlayer = relu\nlayer = dense 6 3"),
+    "conv": ("1 6 6", "layer = conv 1 2 3 same\nlayer = relu\nlayer = dense 72 3"),
+}
+
+
+def _idx_config(tmp_path, model, n=44, test_n=20, side=6, out="out"):
+    rng = _rng(9)
+    for prefix, count in (("", n), ("test_", test_n)):
+        write_idx_images(tmp_path / f"{prefix}images.idx",
+                         rng.integers(0, 256, (count, side, side), dtype=np.uint8))
+        write_idx_labels(tmp_path / f"{prefix}labels.idx", rng.integers(0, 3, count))
+    path = tmp_path / f"{out}.cfg"
+    input_, layers = IDX_MODELS[model]
+    path.write_text(IDX_RUN.format(tmp=tmp_path, input=input_, layers=layers,
+                                   out=tmp_path / out))
+    return load_train_config(path)
+
+
+def test_idx_load_allocates_little_beyond_the_pixels(tmp_path):
+    # 1000 + 200 images of 28x28: the pixels stay uint8, one byte each
+    cfg = _idx_config(tmp_path, "dense", n=1000, test_n=200, side=28)
+    pixel_bytes = (1000 + 200) * 28 * 28
+    tracemalloc.start()
+    try:
+        train_ds, test_ds = train.load_datasets(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert train_ds.inputs.dtype == test_ds.inputs.dtype == np.uint8
+    assert peak <= 1.25 * pixel_bytes, peak / pixel_bytes
+
+
+def _without_wall_ms(path):
+    rows = list(csv.reader(path.read_text().splitlines()[1:]))
+    wall = rows[0].index("wall_ms")
+    return [row[:wall] + row[wall + 1:] for row in rows]
+
+
+@pytest.mark.parametrize("model", sorted(IDX_MODELS))
+def test_idx_run_matches_pixels_scaled_at_load(tmp_path, monkeypatch, model):
+    # The same pixels, scaled once into float64 splits as a loader that
+    # converts at load time would hold them, train to the same bytes.
+    cfg = _idx_config(tmp_path, model, out="uint8")
+    train.run_train(cfg)
+    real = train.load_datasets
+
+    def scaled(cfg):
+        return tuple(data.Dataset(ds.inputs / 255.0, ds.targets, ds.num_classes)
+                     for ds in real(cfg))
+
+    monkeypatch.setattr(train, "load_datasets", scaled)
+    pre = _idx_config(tmp_path, model, out="float64")
+    train.run_train(pre)
+    assert _without_wall_ms(cfg.metrics_path) == _without_wall_ms(pre.metrics_path)
+    assert cfg.coeffs_path.read_bytes() == pre.coeffs_path.read_bytes()
