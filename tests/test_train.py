@@ -2,9 +2,10 @@
 
 Chunked forward passes are checked against one whole-split pass; the
 train rows' running accuracy is recounted from the steps' own forwards,
-and the training split is evaluated once per run.  IDX splits are held
-as uint8 pixels and scaled per batch, with the outputs of pixels scaled
-once at load time.
+and the training split is evaluated once per run.  A run on IDX splits,
+which stay uint8 and are scaled per batch, is checked against a run on
+the same pixels scaled once at load time, and the IDX load against the
+size of the pixels.
 """
 
 import csv
