@@ -25,7 +25,9 @@ inverse.  Coefficients are tied to batch slots, not sample identity.
 
 Both phases, and the natural-gradient step that never shares, run one
 step body, `preconditioned_step`: only where each layer's (c, lambda)
-comes from differs.  A dense capture is a conv capture with one patch
+comes from differs, and a finalized table picks the shared phase.  Only
+fngd steps through the phase entry points `epoch_one_step` and
+`shared_step`.  `nn.forward` runs a dense layer as a conv with one patch
 position, so U c has one weighted-input route for both layer kinds.
 """
 
@@ -330,16 +332,16 @@ def preconditioned_step(net: nn.Network, x, y, eta: float, rule: DampingRule | N
 
 
 def epoch_one_step(net: nn.Network, x, y, table: CoefficientTable, eta: float,
-                   rule: DampingRule, explicit_u: bool = False) -> nn.BackwardPass:
-    """Coefficient-phase step: fresh coefficients that feed the table."""
+                   rule: DampingRule) -> nn.BackwardPass:
+    """fngd's coefficient-phase step: fresh coefficients that feed the table."""
     if table.finalized:
         raise TableStateError("coefficient table is already finalized")
-    return preconditioned_step(net, x, y, eta, rule, table, explicit_u)
+    return preconditioned_step(net, x, y, eta, rule, table)
 
 
-def shared_step(net: nn.Network, x, y, table: CoefficientTable, eta: float,
-                explicit_u: bool = False) -> nn.BackwardPass:
-    """Later-epoch step: the table's shared coefficients, no Gram, no solve."""
+def shared_step(net: nn.Network, x, y, table: CoefficientTable,
+                eta: float) -> nn.BackwardPass:
+    """fngd's later-epoch step: the table's shared coefficients, no Gram, no solve."""
     if not table.finalized:
         raise TableStateError("coefficient table is not finalized")
-    return preconditioned_step(net, x, y, eta, None, table, explicit_u)
+    return preconditioned_step(net, x, y, eta, None, table)

@@ -252,20 +252,16 @@ def forward(net: Network, x_batch) -> ForwardPass:
         raise ValueError(f"network expects {net.in_dim} features, got {cur.shape[0]}")
     captures = []
     for i, layer in enumerate(net.layers):
-        if layer.kind == "dense":
-            captures.append(LayerCapture(i, "dense", cur))
-            cur = layer.weight @ cur
-            if layer.bias is not None:
-                cur += layer.bias[:, None]
-        elif layer.kind == "conv":
+        if layer.kind != "relu":
+            # A dense layer is a conv with one patch position, the whole input.
             m = cur.shape[1]
-            patches = _im2col(cur, layer)
-            captures.append(LayerCapture(i, "conv", patches))
-            out = layer.weight @ patches.reshape(patches.shape[0], -1)
-            out = out.reshape(layer.out_channels, layer.patch_count, m)
+            x = _im2col(cur, layer) if layer.kind == "conv" else cur
+            captures.append(LayerCapture(i, layer.kind, x))
+            out = layer.weight @ x.reshape(x.shape[0], -1)
+            out = out.reshape(layer.weight.shape[0], -1, m)
             if layer.bias is not None:
                 out += layer.bias[:, None, None]
-            cur = out.reshape(layer.flat_out, m)
+            cur = out.reshape(-1, m)
         else:
             mask = cur > 0.0
             captures.append(LayerCapture(i, "relu", mask))

@@ -189,14 +189,13 @@ class _Runner:
         self.first_loss = None
 
     def step(self, x: np.ndarray, y, lr: float) -> nn.BackwardPass:
-        if self.kind in SHARING:
-            explicit = self.kind == "fngd_explicit"
+        if self.kind == "fngd":
             if not self.table.finalized:
-                return core.epoch_one_step(self.net, x, y, self.table, lr, self.rule,
-                                           explicit_u=explicit)
-            return core.shared_step(self.net, x, y, self.table, lr, explicit_u=explicit)
-        if self.kind == "ngd_smw":
-            return core.preconditioned_step(self.net, x, y, lr, self.rule)
+                return core.epoch_one_step(self.net, x, y, self.table, lr, self.rule)
+            return core.shared_step(self.net, x, y, self.table, lr)
+        if self.kind in ("ngd_smw", "fngd_explicit"):
+            return core.preconditioned_step(self.net, x, y, lr, self.rule, self.table,
+                                            self.kind == "fngd_explicit")
         fwd = nn.forward(self.net, x)
         bwd = nn.backward(self.net, fwd, y)
         params = self.net.parameters()
@@ -368,7 +367,8 @@ def run_bench(cfg: TrainConfig, log=None) -> Path:
     e + 1 of any, so that a burst of host load slows every variant's
     epoch alike rather than one variant's run.  A failing step or
     evaluation is reported with its variant's name.  Bench writes no
-    coefficient table, so it refuses output.coeffs.
+    coefficient table, so it refuses output.coeffs; it sets each
+    variant's damping itself, so it refuses train.fixed_damping.
 
     Writes schema fngd-bench-v2: variant, optimizer, phase, epochs_timed,
     median_epoch_ms, ratio_vs_sgd, final_test_accuracy.  A sharing
@@ -379,6 +379,8 @@ def run_bench(cfg: TrainConfig, log=None) -> Path:
     """
     if cfg.coeffs_path is not None:
         raise ConfigError("output.coeffs: bench writes no coefficient table")
+    if cfg.optim.fixed_damping is not None:
+        raise ConfigError("train.fixed_damping: bench sets each variant's damping itself")
     if cfg.epochs < 4:
         raise ConfigError(f"train.epochs: bench needs at least 4 epochs for stable "
                           f"medians, got {cfg.epochs}")

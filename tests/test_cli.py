@@ -634,6 +634,24 @@ def test_bench_refuses_coeffs_before_any_output(kind, tmp_path, out_dir, capsys,
     assert not out_dir.exists()
 
 
+def test_bench_refuses_fixed_damping_before_any_output(tmp_path, out_dir, capsys,
+                                                       monkeypatch):
+    # every variant but fixed_damping runs the damping rule; a config's
+    # fixed value would run them all at one lambda under their own names
+    def no_data(cfg):
+        raise AssertionError("data was read before the train.fixed_damping check")
+
+    monkeypatch.setattr(train, "load_datasets", no_data)
+    text = CFG.replace("epochs = 2", "epochs = 4").replace("lr = 0.5",
+                                                           "lr = 0.5\nfixed_damping = 0.3")
+    assert main(["bench", "--config", str(_write_cfg(tmp_path, text))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: train.fixed_damping: bench sets each variant's "
+                            "damping itself\n")
+    assert not out_dir.exists()
+
+
 def test_failed_solve_names_epoch_and_step_and_exits_3(tmp_path, out_dir, capsys):
     # a huge step with almost no damping drives the weights to overflow
     # within a few steps, and the coefficient solve then fails
@@ -712,6 +730,15 @@ def test_readme_verify_bullet_names_every_check():
     readme = (ROOT / "README.md").read_text()
     bullet = re.search(r"\n\* `verify` runs (.*?)\n\* ", readme, re.S).group(1)
     assert re.findall(r"`(\w+)`", bullet) == [r.name for r in theory.run_checks()]
+
+
+def test_readme_layout_table_names_every_module_once():
+    # each module of the package but __init__, and no other
+    readme = (ROOT / "README.md").read_text()
+    table = re.search(r"## Package layout\n\n(.*?)\n\n", readme, re.S).group(1)
+    named = re.findall(r"^\| `fngd\.(\w+)` \|", table, re.M)
+    modules = [p.stem for p in (ROOT / "src" / "fngd").glob("*.py") if p.stem != "__init__"]
+    assert sorted(named) == sorted(modules)
 
 
 def test_missing_config_exits_2(tmp_path, out_dir, capsys):

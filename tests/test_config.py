@@ -162,13 +162,20 @@ def test_nobias_dense(tmp_path):
          r"^train\.alpha: must be positive and finite, got inf$"),
         (("seed = 1", "seed = 1\nfixed_damping = nan"),
          r"^train\.fixed_damping: must be positive and finite, got nan$"),
-        (("features = 5", "features = 0"), r"^dataset\.features: must be positive, got 0$"),
-        (("classes = 2", "classes = 81"),
-         r"^dataset\.classes: need at least one sample per class, got 81 classes "
-         r"for n \+ test_n = 80$"),
-        (("kind = synthetic\nn = 60\nfeatures = 5\nclasses = 2\ntest_n = 20",
-          "kind = idx\nimages = images.idx\nlabels = labels.idx\nclasses = 1"),
-         r"^dataset\.classes: need at least 2, got 1$"),
+    ] + [
+        # Cases with ids named after the refused key; cases move here from
+        # the end of the list above, which renames none of the cases before them.
+        pytest.param(("features = 5", "features = 0"),
+                     r"^dataset\.features: must be positive, got 0$",
+                     id="dataset.features-zero"),
+        pytest.param(("classes = 2", "classes = 81"),
+                     r"^dataset\.classes: need at least one sample per class, got 81 "
+                     r"classes for n \+ test_n = 80$",
+                     id="dataset.classes-above-samples"),
+        pytest.param(("kind = synthetic\nn = 60\nfeatures = 5\nclasses = 2\ntest_n = 20",
+                      "kind = idx\nimages = images.idx\nlabels = labels.idx\nclasses = 1"),
+                     r"^dataset\.classes: need at least 2, got 1$",
+                     id="dataset.classes-one-idx"),
     ],
 )
 def test_loader_errors_name_section_and_key(tmp_path, mangle, message, monkeypatch):

@@ -265,7 +265,7 @@ def test_epoch_one_step_on_blocked_conv_layer_matches_explicit_u(monkeypatch, re
     blocked, explicit = _clone_net(net), _clone_net(net)
     tables = core.CoefficientTable(), core.CoefficientTable()
     core.epoch_one_step(blocked, x, y, tables[0], 0.1, rule)
-    core.epoch_one_step(explicit, x, y, tables[1], 0.1, rule, explicit_u=True)
+    core.preconditioned_step(explicit, x, y, 0.1, rule, tables[1], explicit_u=True)
 
     assert routes == [("conv", False), ("conv", False), ("dense", False)]
     for i in net.preconditioned():
@@ -709,7 +709,7 @@ def test_explicit_u_step_matches_weighted_step():
     table_a = core.CoefficientTable()
     table_b = core.CoefficientTable()
     core.epoch_one_step(net, x, t, table_a, 0.1, core.DampingRule())
-    core.epoch_one_step(twin, x, t, table_b, 0.1, core.DampingRule(), explicit_u=True)
+    core.preconditioned_step(twin, x, t, 0.1, core.DampingRule(), table_b, explicit_u=True)
     for name, p in net.parameters().items():
         q = twin.parameters()[name]
         assert np.abs(p - q).max() <= 1e-12 * max(1.0, np.abs(p).max()), name

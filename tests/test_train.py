@@ -5,21 +5,25 @@ train rows' running accuracy is recounted from the steps' own forwards,
 and the training split is evaluated once per run.  A run on IDX splits,
 which stay uint8 and are scaled per batch, is checked against a run on
 the same pixels scaled once at load time, and the IDX load against the
-size of the pixels.
+size of the pixels.  On every shipped config, fngd with each layer's
+shared coefficients flattened to their mean is checked against fngd
+with the table as built.
 """
 
 import csv
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import write_idx_images, write_idx_labels
-from fngd import data, nn, train
+from fngd import core, data, nn, train
 from fngd.config import OPTIMIZERS, load_train_config
 from fngd.train import evaluate
 
+ROOT = Path(__file__).resolve().parents[1]
 N = 17
 
 
@@ -287,3 +291,30 @@ def test_idx_run_matches_pixels_scaled_at_load(tmp_path, monkeypatch, model):
     train.run_train(pre)
     assert _without_wall_ms(cfg.metrics_path) == _without_wall_ms(pre.metrics_path)
     assert cfg.coeffs_path.read_bytes() == pre.coeffs_path.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in (ROOT / "configs").glob("*.cfg")))
+def test_flat_shared_coefficients_train_like_the_table(name, tmp_path, monkeypatch):
+    # Each epoch shuffles the batches, so slot i's shared coefficient is a
+    # mean over epoch one's batches that does not depend on i: on every
+    # shipped config, fngd trained with each layer's v_tilde replaced by
+    # mean(v_tilde) * 1 ends at the same test accuracy and nearly the same weights.
+    real_finalize = core.CoefficientTable.finalize
+
+    def flat_finalize(table):
+        real_finalize(table)
+        for layer, (v, lam) in table.shared.items():
+            table.shared[layer] = (np.full_like(v, v.mean()), lam)
+
+    def run(out):
+        cfg = load_train_config(ROOT / "configs" / f"{name}.cfg", out_dir=tmp_path / out)
+        result = train.run_train(replace(cfg, optim=replace(cfg.optim, kind="fngd")))
+        net = result.net
+        weights = np.concatenate([net.layers[i].weight.ravel() for i in net.preconditioned()])
+        return result.final["test_accuracy"], weights
+
+    acc, weights = run("table")
+    monkeypatch.setattr(core.CoefficientTable, "finalize", flat_finalize)
+    flat_acc, flat_weights = run("flat")
+    assert flat_acc == acc
+    assert np.linalg.norm(flat_weights - weights) <= 1e-3 * np.linalg.norm(weights)
