@@ -95,7 +95,7 @@ class DatasetSpec:
 class OptimSpec:
     kind: str
     lr: float = 0.1
-    alpha: float = 0.005
+    alpha: float = core.DampingRule.alpha
     fixed_damping: float | None = None
     lam_floor = core.DampingRule.floor  # not a key; perfbench/tracing.py reads it
 
@@ -157,7 +157,7 @@ def _parse_layer(raw: str, index: int) -> LayerSpec:
     if kind not in _LAYER_USAGE:
         raise ConfigError(f"{where}: unknown layer kind {kind!r}")
     usage, count = _LAYER_USAGE[kind]
-    padding = "same"
+    padding = LayerSpec.padding
     if kind == "conv" and len(rest) == count + 1:
         padding = rest.pop()
         if padding not in ("same", "valid"):
@@ -216,16 +216,16 @@ def _parse_dataset(sections) -> DatasetSpec:
     for key in sections.get("dataset", {}):
         if key not in read and any(key in keys for keys in DATASET_KEYS.values()):
             raise ConfigError(f"dataset.{key}: not read for {kind} datasets")
-    classes = _one(sections, "dataset", "classes", default=2, cast=int)
+    classes = _one(sections, "dataset", "classes", default=DatasetSpec.classes, cast=int)
     if classes < 2:
         raise ConfigError(f"dataset.classes: need at least 2, got {classes}")
     if kind == "synthetic":
         spec = DatasetSpec(
             kind=kind,
-            n=_one(sections, "dataset", "n", default=2000, cast=int),
-            features=_one(sections, "dataset", "features", default=20, cast=int),
+            n=_one(sections, "dataset", "n", default=DatasetSpec.n, cast=int),
+            features=_one(sections, "dataset", "features", default=DatasetSpec.features, cast=int),
             classes=classes,
-            test_n=_one(sections, "dataset", "test_n", default=400, cast=int),
+            test_n=_one(sections, "dataset", "test_n", default=DatasetSpec.test_n, cast=int),
         )
         if spec.n < 1:
             raise ConfigError(f"dataset.n: must be positive, got {spec.n}")
@@ -277,8 +277,8 @@ def load_train_config(path, out_dir=None) -> TrainConfig:
         raise ConfigError(f"train.optimizer: unknown optimizer {kind!r}")
     optim = OptimSpec(
         kind=kind,
-        lr=_one(sections, "train", "lr", default=0.1, cast=float),
-        alpha=_one(sections, "train", "alpha", default=0.005, cast=float),
+        lr=_one(sections, "train", "lr", default=OptimSpec.lr, cast=float),
+        alpha=_one(sections, "train", "alpha", default=OptimSpec.alpha, cast=float),
         fixed_damping=_one(sections, "train", "fixed_damping", default=None, cast=float),
     )
     for key in ("lr", "alpha", "fixed_damping"):
@@ -306,8 +306,8 @@ def load_train_config(path, out_dir=None) -> TrainConfig:
             f"the shared coefficients), got {epochs}"
         )
 
-    metrics_path = Path(_one(sections, "output", "metrics", default="out/metrics.csv"))
-    bench_path = Path(_one(sections, "output", "bench", default="out/bench.csv"))
+    metrics_path = Path(_one(sections, "output", "metrics", default=TrainConfig.metrics_path))
+    bench_path = Path(_one(sections, "output", "bench", default=TrainConfig.bench_path))
     raw_coeffs = _one(sections, "output", "coeffs", default=None)
     coeffs_path = Path(raw_coeffs) if raw_coeffs else None
     unknown = [f"{section}.{key}" for section, keys in sections.items() for key in keys]

@@ -167,9 +167,8 @@ class CoefficientTable:
     """
 
     def __init__(self):
-        self._v_sums: dict[int, np.ndarray] = {}
-        self._lam_sums: dict[int, float] = {}
-        self._counts: dict[int, int] = {}
+        # One record per layer: [sum of c, sum of lambda, batches].
+        self._sums: dict[int, list] = {}
         self.shared: dict[int, tuple[np.ndarray, float]] = {}
         self.finalized = False
 
@@ -179,31 +178,31 @@ class CoefficientTable:
         v = linalg.as_vector(v)
         if not 0.0 < lam < math.inf:
             raise ValueError(f"damping must be positive and finite, got {lam}")
-        if layer in self._v_sums:
-            if v.shape != self._v_sums[layer].shape:
-                raise TableStateError(
-                    f"layer {layer}: coefficient length changed from "
-                    f"{self._v_sums[layer].shape[0]} to {v.shape[0]}"
-                )
-            self._v_sums[layer] = self._v_sums[layer] + v
-            self._lam_sums[layer] += lam
-            self._counts[layer] += 1
-        else:
-            self._v_sums[layer] = v.copy()
-            self._lam_sums[layer] = lam
-            self._counts[layer] = 1
+        record = self._sums.get(layer)
+        if record is None:
+            # A copy, since later batches add into it in place; a sum started
+            # at zeros would turn a -0.0 coefficient into +0.0.
+            self._sums[layer] = [v.copy(), lam, 1]
+            return
+        if v.shape != record[0].shape:
+            raise TableStateError(
+                f"layer {layer}: coefficient length changed from "
+                f"{record[0].shape[0]} to {v.shape[0]}"
+            )
+        record[0] += v
+        record[1] += lam
+        record[2] += 1
 
     def finalize(self) -> None:
         if self.finalized:
             raise TableStateError("coefficient table is already finalized")
-        if not self._counts:
+        if not self._sums:
             raise TableStateError("no batches accumulated; nothing to finalize")
-        counts = set(self._counts.values())
-        if len(counts) != 1:
-            raise TableStateError(f"uneven batch counts across layers: {self._counts}")
-        b = counts.pop()
-        for layer, s in self._v_sums.items():
-            self.shared[layer] = (s / b, self._lam_sums[layer] / b)
+        counts = {layer: record[2] for layer, record in self._sums.items()}
+        if len(set(counts.values())) != 1:
+            raise TableStateError(f"uneven batch counts across layers: {counts}")
+        for layer, (v_sum, lam_sum, b) in self._sums.items():
+            self.shared[layer] = (v_sum / b, lam_sum / b)
         self.finalized = True
 
     def shared_for(self, layer: int) -> tuple[np.ndarray, float]:
@@ -293,7 +292,6 @@ def preconditioned_step(net: nn.Network, x, y, eta: float, rule: DampingRule | N
     """
     fwd = nn.forward(net, x)
     bwd = nn.backward(net, fwd, y)
-    params = net.parameters()
     shared = table is not None and table.finalized
     m = fwd.outputs.shape[1]
     for i in net.preconditioned():
@@ -325,7 +323,8 @@ def preconditioned_step(net: nn.Network, x, y, eta: float, rule: DampingRule | N
             step = precondition_explicit_u(cap, scaled)
         else:
             step = precondition(cap, scaled, u=u)
-        _apply_update(params[f"layer{i}.weight"], step)
+        _apply_update(net.layers[i].weight, step)
+    params = net.parameters()
     for name, grad in bwd.bias_grads.items():
         _apply_update(params[name], eta * grad)
     return bwd

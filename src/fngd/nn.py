@@ -90,13 +90,13 @@ class Conv2d:
             raise ValueError("bias length does not match output channels")
         self.in_channels = in_channels
         self.kernel = kernel
-        self.padding = padding
         self.in_h = in_h
         self.in_w = in_w
-        if padding == "same":
-            self.out_h, self.out_w = in_h, in_w
-        else:
-            self.out_h, self.out_w = in_h - kernel + 1, in_w - kernel + 1
+        # Zero rows and columns added on each side of the input; "same"
+        # keeps the spatial size for the odd kernels allowed.
+        self.pad = (kernel - 1) // 2 if padding == "same" else 0
+        self.out_h = in_h + 2 * self.pad - kernel + 1
+        self.out_w = in_w + 2 * self.pad - kernel + 1
         if self.out_h < 1 or self.out_w < 1:
             raise ValueError(
                 f"kernel {kernel} does not fit a {in_h}x{in_w} input with valid padding"
@@ -208,10 +208,9 @@ class BackwardPass:
 
 
 def _im2col(flat: np.ndarray, layer: Conv2d) -> np.ndarray:
-    c, h, w, k = layer.in_channels, layer.in_h, layer.in_w, layer.kernel
+    c, h, w, k, pad = layer.in_channels, layer.in_h, layer.in_w, layer.kernel, layer.pad
     m = flat.shape[1]
     img = flat.reshape(c, h, w, m)
-    pad = (k - 1) // 2 if layer.padding == "same" else 0
     if pad:
         padded = np.zeros((c, h + 2 * pad, w + 2 * pad, m))
         padded[:, pad : pad + h, pad : pad + w, :] = img
@@ -225,9 +224,8 @@ def _im2col(flat: np.ndarray, layer: Conv2d) -> np.ndarray:
 
 
 def _col2im(cols: np.ndarray, layer: Conv2d) -> np.ndarray:
-    c, h, w, k = layer.in_channels, layer.in_h, layer.in_w, layer.kernel
+    c, h, w, k, pad = layer.in_channels, layer.in_h, layer.in_w, layer.kernel, layer.pad
     m = cols.shape[2]
-    pad = (k - 1) // 2 if layer.padding == "same" else 0
     oh, ow = layer.out_h, layer.out_w
     img = np.zeros((c, h + 2 * pad, w + 2 * pad, m))
     shaped = cols.reshape(c, k, k, oh, ow, m)

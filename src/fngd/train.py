@@ -304,13 +304,19 @@ def run_train(cfg: TrainConfig, log=None) -> TrainResult:
     """Train once per the config; write metrics and optional coefficients.
 
     The network and the splits are checked against each other, and an
-    output.coeffs for an optimizer that builds no table is refused,
-    before the metrics file is opened.  The test split, when there is
+    output.coeffs for an optimizer that builds no table, or one that is
+    the metrics file or a path inside or above it, is refused, before
+    the metrics file is opened.  The test split, when there is
     one, is evaluated after every epoch; the training split once, at
     the end.
     """
-    if cfg.coeffs_path is not None and cfg.optim.kind not in SHARING:
-        raise ConfigError(f"output.coeffs: {cfg.optim.kind} builds no coefficient table")
+    if cfg.coeffs_path is not None:
+        if cfg.optim.kind not in SHARING:
+            raise ConfigError(f"output.coeffs: {cfg.optim.kind} builds no coefficient table")
+        coeffs, metrics = cfg.coeffs_path.resolve(), cfg.metrics_path.resolve()
+        if coeffs == metrics or coeffs in metrics.parents or metrics in coeffs.parents:
+            raise ConfigError(f"output.coeffs: {cfg.coeffs_path} is the metrics file "
+                              f"{cfg.metrics_path} or a path inside or above it")
     net = build_network(cfg.model, cfg.seed)
     train_ds, test_ds = load_datasets(cfg)
     _check_splits(cfg, net, train_ds, test_ds)

@@ -202,6 +202,35 @@ def test_coeffs_for_an_optimizer_without_a_table_exits_2_before_any_output(
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("metrics, coeffs, output_dir, shown", [
+    ("out/run.csv", "out/run.csv", None, ("out/run.csv", "out/run.csv")),
+    ("a/run.csv", "b/run.csv", "o", ("o/run.csv", "o/run.csv")),
+    ("out/m.csv", "out/m.csv/t.csv", None, ("out/m.csv/t.csv", "out/m.csv")),
+    ("out/c.csv/m.csv", "out/c.csv", None, ("out/c.csv", "out/c.csv/m.csv")),
+], ids=["same-path", "same-name-under-output-dir", "coeffs-under-metrics",
+        "metrics-under-coeffs"])
+def test_coeffs_at_or_around_the_metrics_file_exits_2_before_any_output(
+        metrics, coeffs, output_dir, shown, tmp_path, capsys, monkeypatch):
+    # the table would overwrite the metrics file, or one path would need
+    # the other to be a directory after the run had trained
+    def no_data(cfg):
+        raise AssertionError("data was read before the output.coeffs check")
+
+    monkeypatch.setattr(train, "load_datasets", no_data)
+    monkeypatch.chdir(tmp_path)
+    if output_dir is None:
+        monkeypatch.delenv("FNGD_OUTPUT_DIR", raising=False)
+    else:
+        monkeypatch.setenv("FNGD_OUTPUT_DIR", output_dir)
+    cfg = _write_cfg(tmp_path, CFG + f"\n[output]\nmetrics = {metrics}\ncoeffs = {coeffs}\n")
+    assert main(["train", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: output.coeffs: {shown[0]} is the metrics file "
+                            f"{shown[1]} or a path inside or above it\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
 def test_idx_dataset_with_synthetic_keys_exits_2_before_any_output(tmp_path, out_dir,
                                                                   capsys, monkeypatch):
     imgs, labs = tmp_path / "images.idx", tmp_path / "labels.idx"

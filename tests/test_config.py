@@ -1,5 +1,6 @@
 """Config grammar and the typed loader."""
 
+import operator
 import re
 from pathlib import Path
 
@@ -156,15 +157,18 @@ def test_nobias_dense(tmp_path):
         (("lr = 0.5", "lr = inf"), r"^train\.lr: must be positive and finite, got inf$"),
         (("seed = 1", "seed = 1\nalpha = nan"),
          r"^train\.alpha: must be positive and finite, got nan$"),
-        (("seed = 1", "seed = 1\nfixed_damping = inf"),
-         r"^train\.fixed_damping: must be positive and finite, got inf$"),
-        (("seed = 1", "seed = 1\nalpha = inf"),
-         r"^train\.alpha: must be positive and finite, got inf$"),
-        (("seed = 1", "seed = 1\nfixed_damping = nan"),
-         r"^train\.fixed_damping: must be positive and finite, got nan$"),
     ] + [
         # Cases with ids named after the refused key; cases move here from
         # the end of the list above, which renames none of the cases before them.
+        pytest.param(("seed = 1", "seed = 1\nfixed_damping = inf"),
+                     r"^train\.fixed_damping: must be positive and finite, got inf$",
+                     id="train.fixed_damping-inf"),
+        pytest.param(("seed = 1", "seed = 1\nalpha = inf"),
+                     r"^train\.alpha: must be positive and finite, got inf$",
+                     id="train.alpha-inf"),
+        pytest.param(("seed = 1", "seed = 1\nfixed_damping = nan"),
+                     r"^train\.fixed_damping: must be positive and finite, got nan$",
+                     id="train.fixed_damping-nan"),
         pytest.param(("features = 5", "features = 0"),
                      r"^dataset\.features: must be positive, got 0$",
                      id="dataset.features-zero"),
@@ -227,14 +231,19 @@ def test_readme_config_example_loads(tmp_path):
     assert str(cfg.coeffs_path) == "out/coeffs.csv"
 
 
-def test_readme_key_table_matches_loader(tmp_path, monkeypatch):
+def _readme_key_rows():
+    """(section, keys, default cell) for each row of README's config table."""
     readme = (ROOT / "README.md").read_text()
     table = readme.split("| section | key | default |\n| --- | --- | --- |\n")[1]
-    named, section = set(), None
+    section = None
     for row in table.split("\n\n")[0].splitlines():
         cells = [cell.strip() for cell in row.strip().strip("|").split("|")]
         section = cells[0].strip("`") or section
-        named |= {(section, key) for key in re.findall(r"`(\w+)`", cells[1])}
+        yield section, re.findall(r"`(\w+)`", cells[1]), cells[2]
+
+
+def test_readme_key_table_matches_loader(tmp_path, monkeypatch):
+    named = {(section, key) for section, keys, _ in _readme_key_rows() for key in keys}
 
     # every key the loader takes out of a section, by _one or directly
     read = set()
@@ -261,6 +270,53 @@ def test_readme_key_table_matches_loader(tmp_path, monkeypatch):
         load_train_config(_write(tmp_path, idx))
     assert sorted(named - read) == [], "README names keys the loader refuses"
     assert sorted(read - named) == [], "README leaves out keys the loader reads"
+
+
+# Where the loaded config holds each key that has a default; model.loss is
+# held nowhere, since cross_entropy is the one value the loader takes.
+DEFAULT_FIELDS = {
+    ("dataset", "kind"): "dataset.kind",
+    ("dataset", "classes"): "dataset.classes",
+    ("dataset", "n"): "dataset.n",
+    ("dataset", "features"): "dataset.features",
+    ("dataset", "test_n"): "dataset.test_n",
+    ("dataset", "test_images"): "dataset.test_images",
+    ("dataset", "test_labels"): "dataset.test_labels",
+    ("model", "loss"): None,
+    ("train", "optimizer"): "optim.kind",
+    ("train", "lr"): "optim.lr",
+    ("train", "seed"): "seed",
+    ("train", "alpha"): "optim.alpha",
+    ("train", "fixed_damping"): "optim.fixed_damping",
+    ("output", "metrics"): "metrics_path",
+    ("output", "coeffs"): "coeffs_path",
+    ("output", "bench"): "bench_path",
+}
+
+
+def test_readme_key_table_defaults_match_loader(tmp_path):
+    # a config of the required keys alone, so every other key takes its default
+    cfg = load_train_config(_write(tmp_path, "[model]\ninput = 20\nlayer = dense 20 2\n"
+                                             "[train]\nepochs = 2\nbatch_size = 4\n"))
+    checked = set()
+    for section, keys, cell in _readme_key_rows():
+        default = cell.split(";")[0]
+        if default.startswith("required"):
+            continue
+        values = [value.strip() for value in default.split(",")]
+        if len(values) == 1:
+            values *= len(keys)
+        assert len(values) == len(keys), f"{section}: {cell!r} gives no default per key"
+        for key, value in zip(keys, values):
+            assert re.fullmatch(r"none|`[^`]+`", value), f"{section}.{key}: {value!r}"
+            checked.add((section, key))
+            field = DEFAULT_FIELDS[(section, key)]
+            if field is None:
+                continue
+            loaded = operator.attrgetter(field)(cfg)
+            shown = None if loaded is None else str(loaded)
+            assert shown == (None if value == "none" else value.strip("`")), f"{section}.{key}"
+    assert checked == set(DEFAULT_FIELDS)
 
 
 def test_shipped_configs_load():
