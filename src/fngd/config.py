@@ -219,14 +219,11 @@ def _parse_dataset(sections) -> DatasetSpec:
     classes = _one(sections, "dataset", "classes", default=DatasetSpec.classes, cast=int)
     if classes < 2:
         raise ConfigError(f"dataset.classes: need at least 2, got {classes}")
+    cast = int if kind == "synthetic" else str
+    values = {key: _one(sections, "dataset", key, default=getattr(DatasetSpec, key), cast=cast)
+              for key in read if key != "classes"}
+    spec = DatasetSpec(kind=kind, classes=classes, **values)
     if kind == "synthetic":
-        spec = DatasetSpec(
-            kind=kind,
-            n=_one(sections, "dataset", "n", default=DatasetSpec.n, cast=int),
-            features=_one(sections, "dataset", "features", default=DatasetSpec.features, cast=int),
-            classes=classes,
-            test_n=_one(sections, "dataset", "test_n", default=DatasetSpec.test_n, cast=int),
-        )
         if spec.n < 1:
             raise ConfigError(f"dataset.n: must be positive, got {spec.n}")
         if spec.features < 1:
@@ -237,20 +234,11 @@ def _parse_dataset(sections) -> DatasetSpec:
             raise ConfigError(f"dataset.classes: need at least one sample per class, got "
                               f"{spec.classes} classes for n + test_n = {spec.n + spec.test_n}")
     else:
-        spec = DatasetSpec(
-            kind=kind,
-            classes=classes,
-            images=_one(sections, "dataset", "images", default=None),
-            labels=_one(sections, "dataset", "labels", default=None),
-            test_images=_one(sections, "dataset", "test_images", default=None),
-            test_labels=_one(sections, "dataset", "test_labels", default=None),
-        )
         if not spec.images:
             raise ConfigError("dataset.images: required for idx datasets")
         if not spec.labels:
             raise ConfigError("dataset.labels: required for idx datasets")
-        for key in ("images", "labels", "test_images", "test_labels"):
-            value = getattr(spec, key)
+        for key, value in values.items():
             if value and not Path(value).exists():
                 raise ConfigError(f"dataset.{key}: file not found: {value}")
         if (spec.test_images is None) != (spec.test_labels is None):

@@ -45,14 +45,13 @@ BENCH_VERSION = "fngd-bench-v2"
 def build_network(model: ModelSpec, seed: int) -> nn.Network:
     """Instantiate the layer stack with He-normal seeded weights.
 
-    Spatial shapes flow through conv layers from model.input_shape;
-    dense layers flatten whatever precedes them.  nn.Network checks each
-    weighted layer's width against the one before it; the first one's is
-    checked here against model.input, so a chain is refused at its first fault.
+    The shape each layer gets starts as model.input_shape and becomes
+    (out,) after a dense layer, (out_ch, out_h, out_w) after a conv;
+    dense layers flatten it.  Each weighted layer is checked against it
+    as it is built, so a chain is refused at its first fault.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
-    spatial = model.input_shape if len(model.input_shape) == 3 else None
-    width = math.prod(model.input_shape)  # None once a weighted layer is built
+    shape = model.input_shape
     layers = []
     for i, spec in enumerate(model.layers):
         if spec.kind == "relu":
@@ -60,39 +59,33 @@ def build_network(model: ModelSpec, seed: int) -> nn.Network:
             continue
         if spec.kind == "dense":
             in_dim, out_dim = spec.dims
-            if width is not None and in_dim != width:
+            if in_dim != math.prod(shape):
                 raise ConfigError(f"model.layer[{i}]: dense expects {in_dim} inputs but "
-                                  f"the previous layer provides {width}")
+                                  f"the previous layer provides {math.prod(shape)}")
             layers.append(nn.Dense.create(in_dim, out_dim, rng, bias=spec.bias))
-            spatial = width = None
+            shape = (out_dim,)
             continue
         in_ch, out_ch, kernel = spec.dims
-        if spatial is None:
-            if width is None:  # a width mismatch before this layer comes first
-                _network(layers)
+        if len(shape) != 3:
             raise ConfigError(
                 f"model.layer[{i}]: conv needs a spatial input; give model.input "
                 f"as '<channels> <height> <width>'"
             )
-        if in_ch != spatial[0]:
+        if in_ch != shape[0]:
             raise ConfigError(
                 f"model.layer[{i}]: conv expects {in_ch} channels but the previous "
-                f"layer provides {spatial[0]}"
+                f"layer provides {shape[0]}"
             )
         try:
             layer = nn.Conv2d.create(in_ch, out_ch, kernel, spec.padding,
-                                     spatial[1], spatial[2], rng, bias=spec.bias)
+                                     shape[1], shape[2], rng, bias=spec.bias)
         except ValueError as exc:  # an unsupported kernel size, or one the input cannot fit
             raise ConfigError(f"model.layer[{i}]: {exc}") from exc
         layers.append(layer)
-        spatial, width = (out_ch, layer.out_h, layer.out_w), None
-    return _network(layers)
-
-
-def _network(layers) -> nn.Network:
+        shape = (out_ch, layer.out_h, layer.out_w)
     try:
         return nn.Network(layers)
-    except ValueError as exc:  # a width mismatch, or no dense or conv layer at all
+    except ValueError as exc:  # no dense or conv layer at all
         raise ConfigError(f"model.{exc}") from exc
 
 
@@ -300,13 +293,26 @@ def _check_splits(cfg: TrainConfig, net: nn.Network, train_ds: data.Dataset,
                           f"last layer has {net.out_dim} outputs")
 
 
+def _check_output(key: str, path: Path) -> None:
+    """Refuse, as output.<key>, a path that cannot be written as a file:
+    an existing directory, or one under an existing path that is not a
+    directory.  Makes no file or directory itself."""
+    if path.is_dir():
+        raise ConfigError(f"output.{key}: {path} is a directory")
+    for parent in path.parents:
+        if parent.exists() and not parent.is_dir():
+            raise ConfigError(f"output.{key}: {path} lies under {parent}, "
+                              f"which is not a directory")
+
+
 def run_train(cfg: TrainConfig, log=None) -> TrainResult:
     """Train once per the config; write metrics and optional coefficients.
 
     The network and the splits are checked against each other, and an
     output.coeffs for an optimizer that builds no table, or one that is
-    the metrics file or a path inside or above it, is refused, before
-    the metrics file is opened.  The test split, when there is
+    the metrics file or a path inside or above it, is refused, as is an
+    output path that cannot be written as a file, before the network is
+    built and the metrics file is opened.  The test split, when there is
     one, is evaluated after every epoch; the training split once, at
     the end.
     """
@@ -317,6 +323,9 @@ def run_train(cfg: TrainConfig, log=None) -> TrainResult:
         if coeffs == metrics or coeffs in metrics.parents or metrics in coeffs.parents:
             raise ConfigError(f"output.coeffs: {cfg.coeffs_path} is the metrics file "
                               f"{cfg.metrics_path} or a path inside or above it")
+    _check_output("metrics", cfg.metrics_path)
+    if cfg.coeffs_path is not None:
+        _check_output("coeffs", cfg.coeffs_path)
     net = build_network(cfg.model, cfg.seed)
     train_ds, test_ds = load_datasets(cfg)
     _check_splits(cfg, net, train_ds, test_ds)
@@ -374,7 +383,9 @@ def run_bench(cfg: TrainConfig, log=None) -> Path:
     epoch alike rather than one variant's run.  A failing step or
     evaluation is reported with its variant's name.  Bench writes no
     coefficient table, so it refuses output.coeffs; it sets each
-    variant's damping itself, so it refuses train.fixed_damping.
+    variant's damping itself, so it refuses train.fixed_damping.  An
+    output.bench that cannot be written as a file is refused before
+    any variant trains.
 
     Writes schema fngd-bench-v2: variant, optimizer, phase, epochs_timed,
     median_epoch_ms, ratio_vs_sgd, final_test_accuracy.  A sharing
@@ -393,6 +404,7 @@ def run_bench(cfg: TrainConfig, log=None) -> Path:
     if cfg.batch_size < 2:
         raise ConfigError(f"train.batch_size: bench trains natural-gradient variants, "
                           f"which need at least 2 samples per batch, got {cfg.batch_size}")
+    _check_output("bench", cfg.bench_path)
     nets = [build_network(cfg.model, cfg.seed) for _ in BENCH_VARIANTS]
     train_ds, test_ds = load_datasets(cfg)
     _check_splits(cfg, nets[0], train_ds, test_ds)

@@ -96,6 +96,15 @@ def test_verify_passes_and_prints_one_line_per_check(capsys):
     assert out[-1] == "all checks passed"
 
 
+def test_verify_with_a_failing_check_prints_it_and_exits_1(capsys, monkeypatch):
+    # the identity's error reads far over its 1e-9 threshold
+    monkeypatch.setattr(theory, "smw_identity_check", lambda *args: 1.0)
+    assert main(["verify"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [l.split()[:2] for l in out if l.startswith("FAIL")] == [["FAIL", "smw_identity"]]
+    assert out[-1] == "1 check(s) failed"
+
+
 def test_verify_verbose_adds_detail(capsys):
     assert main(["verify", "--verbose"]) == 0
     out = capsys.readouterr().out
@@ -229,6 +238,38 @@ def test_coeffs_at_or_around_the_metrics_file_exits_2_before_any_output(
     assert captured.err == (f"error: output.coeffs: {shown[0]} is the metrics file "
                             f"{shown[1]} or a path inside or above it\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+@pytest.mark.parametrize("command, key", [
+    ("train", "metrics"), ("train", "coeffs"), ("bench", "bench")])
+@pytest.mark.parametrize("layout, reason", [
+    ("directory", "out/t.csv is a directory"),
+    ("under-file", "a.cfg/t.csv lies under a.cfg, which is not a directory"),
+], ids=["directory", "under-file"])
+def test_unwritable_output_path_exits_2_before_the_network_is_built(
+        command, key, layout, reason, tmp_path, capsys, monkeypatch):
+    # such a path fails only when its file is opened, after training,
+    # so it is refused by key before anything is built or read
+    def no_network(model, seed):
+        raise AssertionError("the network was built before the output path check")
+
+    monkeypatch.setattr(train, "build_network", no_network)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("FNGD_OUTPUT_DIR", raising=False)
+    if layout == "directory":
+        (tmp_path / "out" / "t.csv").mkdir(parents=True)
+        path = "out/t.csv"
+    else:
+        (tmp_path / "a.cfg").write_text("")
+        path = "a.cfg/t.csv"
+    text = CFG.replace("epochs = 2", "epochs = 4") + f"\n[output]\n{key} = {path}\n"
+    cfg = _write_cfg(tmp_path, text)
+    before = sorted(tmp_path.rglob("*"))
+    assert main([command, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: output.{key}: {reason}\n"
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_idx_dataset_with_synthetic_keys_exits_2_before_any_output(tmp_path, out_dir,
@@ -702,7 +743,9 @@ def test_failed_solve_names_epoch_and_step_and_exits_3(tmp_path, out_dir, capsys
      "error: unrecognized arguments: --load-coeffs coeffs.csv"),
     (["verify", "--seed", "-1"],
      "error: argument --seed: expected a non-negative integer, got '-1'"),
-], ids=["load-coeffs", "verify-seed"])
+    (["verify", "--seed", "abc"],
+     "error: argument --seed: expected a non-negative integer, got 'abc'"),
+], ids=["load-coeffs", "verify-seed", "verify-seed-not-integer"])
 def test_refused_arguments_exit_2_before_any_output(argv, message, tmp_path, out_dir,
                                                     capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -153,13 +153,16 @@ def test_nobias_dense(tmp_path):
         (("optimizer = fngd", "optimizer = adamw"),
          r"train\.optimizer: unknown optimizer 'adamw'"),
         (("seed = 1", "seed = -1"), r"train\.seed: must be non-negative"),
-        (("lr = 0.5", "lr = nan"), r"^train\.lr: must be positive and finite, got nan$"),
-        (("lr = 0.5", "lr = inf"), r"^train\.lr: must be positive and finite, got inf$"),
-        (("seed = 1", "seed = 1\nalpha = nan"),
-         r"^train\.alpha: must be positive and finite, got nan$"),
     ] + [
         # Cases with ids named after the refused key; cases move here from
         # the end of the list above, which renames none of the cases before them.
+        pytest.param(("lr = 0.5", "lr = nan"),
+                     r"^train\.lr: must be positive and finite, got nan$", id="train.lr-nan"),
+        pytest.param(("lr = 0.5", "lr = inf"),
+                     r"^train\.lr: must be positive and finite, got inf$", id="train.lr-inf"),
+        pytest.param(("seed = 1", "seed = 1\nalpha = nan"),
+                     r"^train\.alpha: must be positive and finite, got nan$",
+                     id="train.alpha-nan"),
         pytest.param(("seed = 1", "seed = 1\nfixed_damping = inf"),
                      r"^train\.fixed_damping: must be positive and finite, got inf$",
                      id="train.fixed_damping-inf"),

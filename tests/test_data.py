@@ -128,6 +128,8 @@ def test_dataset_validation():
         data.Dataset(x, np.zeros((2, 5)))
     with pytest.raises(ValueError, match="finite"):
         data.Dataset(np.full((2, 2), np.nan), np.zeros(2, dtype=np.int64))
+    with pytest.raises(ValueError, match=r"inputs must be 2-D, got shape \(3,\)"):
+        data.Dataset(np.zeros(3), np.zeros(3, dtype=np.int64))
     with pytest.raises(ValueError, match="uint8 pixels or float64, got int64"):
         data.Dataset(np.zeros((3, 4), dtype=np.int64), np.zeros(4, dtype=np.int64))
     ds = data.Dataset(x, np.zeros(4, dtype=np.int64), num_classes=2)

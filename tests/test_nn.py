@@ -7,6 +7,7 @@ checked against a direct nested-loop convolution written here.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -141,12 +142,18 @@ def test_layer_validation():
         nn.Conv2d.create(1, 2, 3, "full", 4, 4, rng)
     with pytest.raises(ValueError, match="bias length"):
         nn.Dense(np.eye(3), np.zeros(2))
+    with pytest.raises(ValueError, match=r"kernel matrix has 5 columns, expected 1 \* 3\^2"):
+        nn.Conv2d(np.ones((2, 5)), None, 1, 3, "same", 4, 4)
+    with pytest.raises(ValueError, match="bias length does not match output channels"):
+        nn.Conv2d(np.ones((2, 9)), np.zeros(3), 1, 3, "same", 4, 4)
     with pytest.raises(ValueError, match="expects 5 inputs"):
         nn.Network([nn.Dense(np.ones((4, 3))), nn.Dense(np.ones((2, 5)))])
     with pytest.raises(ValueError, match="loss"):
         nn.Network([nn.Dense(np.eye(2))], "squared_error")
     with pytest.raises(ValueError, match="no parameterized layers"):
         nn.Network([nn.Relu()])
+    with pytest.raises(ValueError, match=r"^layer\[0\]: unknown layer kind 'tanh'$"):
+        nn.Network([SimpleNamespace(kind="tanh"), nn.Dense(np.eye(2))])
 
 
 # ------------------------------------------------------------ loss values
