@@ -91,7 +91,9 @@ def main(argv=None) -> int:
         else:
             out = run_bench(cfg, log=print)
             print(f"bench table written to {out}")
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, MemoryError) as exc:
+        # a MemoryError here came from set-up: training and evaluation
+        # report theirs as a TrainingError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TrainingError as exc:

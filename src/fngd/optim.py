@@ -10,6 +10,8 @@ scaled by lr.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 __all__ = [
@@ -41,14 +43,15 @@ def sgd_momentum_step(buffers: dict[str, np.ndarray], params: dict[str, np.ndarr
         params[name] -= lr * buf
 
 
-def lr_schedule(base_lr: float, epochs: int) -> list[float]:
-    """Each epoch's learning rate under step decay: base_lr times
-    LR_DECAY per milestone passed, with milestones at the MILESTONES
-    fractions of the run.
+def lr_schedule(base_lr: float, epochs: int) -> Iterator[float]:
+    """Each epoch's learning rate under step decay, yielded as that epoch
+    starts: base_lr times LR_DECAY per milestone passed, with milestones
+    at the MILESTONES fractions of the run.  Nothing is built per epoch
+    ahead of time, so any epoch count starts at once.
 
     No milestone falls on epoch 0, so the first epoch always runs at
     base_lr, however short the run.
     """
     stones = [max(1, int(f * epochs)) for f in MILESTONES]
-    return [base_lr * LR_DECAY ** sum(1 for m in stones if epoch >= m)
-            for epoch in range(epochs)]
+    for epoch in range(epochs):
+        yield base_lr * LR_DECAY ** sum(1 for m in stones if epoch >= m)

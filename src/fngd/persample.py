@@ -114,18 +114,17 @@ def gram(capture: LayerCapture,
 
     A conv layer's U is built in blocks of as many output channels as fit
     in u_budget bytes (at least one), all from one sample-major copy of X,
-    and G sums the blocks' Grams.  U is
-    returned only when it is one block; otherwise U is never whole, and
-    a dense layer has none.
+    and G sums the blocks' Grams.  U is returned only when the first block
+    covers every output channel; otherwise U is never whole, and a dense
+    layer has none.
     """
     if capture.kind == "dense":
         return gram_dense(capture), None
     width = max(1, u_budget // (capture.x.shape[0] * capture.x.shape[-1] * 8))
-    if width >= capture.z.shape[0]:
-        u = build_u_conv(capture)
-        return gram_conv(u), u
     xm = _sample_major(capture.x)
-    g = gram_conv(build_u_conv(capture, slice(0, width), xm))
+    u = build_u_conv(capture, slice(0, width), xm)
+    g = gram_conv(u)
     for lo in range(width, capture.z.shape[0], width):
+        u = None  # U is not whole: hold one block at a time
         g += gram_conv(build_u_conv(capture, slice(lo, lo + width), xm))
-    return g, None
+    return g, u

@@ -149,11 +149,15 @@ class TrainingError(RuntimeError):
 
 
 def _evaluate(net: nn.Network, ds: data.Dataset, batch: int, where: str) -> tuple[float, float]:
-    """evaluate, with a loss that is not finite refused as a TrainingError
-    whose message starts with `where`, the epoch and the split.  As in a
-    training step, numpy's overflow warnings are off: the check reports it."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        loss, acc = evaluate(net, ds, batch)
+    """evaluate, with a loss that is not finite, or memory that runs out,
+    refused as a TrainingError whose message starts with `where`, the
+    epoch and the split.  As in a training step, numpy's overflow
+    warnings are off: the check reports it."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            loss, acc = evaluate(net, ds, batch)
+    except MemoryError as exc:
+        raise TrainingError(f"{where}: {exc}") from exc
     if not math.isfinite(loss):
         raise TrainingError(f"{where}: loss is {loss}")
     return loss, acc
@@ -222,7 +226,7 @@ class _Runner:
                     bwd = self.step(ds.columns(idx), ds.targets[idx], lr)
                 if not np.isfinite(bwd.loss):
                     raise RuntimeError(f"loss is {bwd.loss}")
-            except RuntimeError as exc:
+            except (RuntimeError, MemoryError) as exc:
                 raise TrainingError(
                     f"epoch {epoch + 1}, step {self.steps + 1}: {exc}"
                 ) from exc

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import write_idx_images, write_idx_labels
-from fngd import core, persample, theory, train
+from fngd import core, data, nn, persample, theory, train
 from fngd.cli import _build_parser, main
 from fngd.train import METRICS_COLUMNS, METRICS_VERSION
 
@@ -651,6 +651,58 @@ def test_evaluation_overflow_names_epoch_and_split_and_exits_3(kind, lr, tmp_pat
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: epoch 1, test split: loss is nan\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_huge_epoch_count_reaches_its_first_step(tmp_path, out_dir, capsys):
+    # each epoch's rate is worked out as that epoch starts, so a 20-digit
+    # epoch count trains at once; this run ends in its first epoch
+    text = ONE_STEP.replace("lr = 0.5", "lr = 1e300")
+    text = text.replace("epochs = 2", "epochs = 99999999999999999999")
+    assert main(["train", "--config", str(_write_cfg(tmp_path, text))]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: epoch 1, test split: loss is nan\n"
+
+
+# What numpy says when an array does not fit, as at a batch_size of 40000,
+# whose fngd Gram is 40000 x 40000; the tests raise it, allocating nothing.
+NO_MEMORY = ("Unable to allocate 11.9 GiB for an array with shape (40000, 40000) "
+             "and data type float64")
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError(NO_MEMORY)
+
+
+@pytest.mark.parametrize("command, where, prefix", [
+    ("train", (persample, "gram"), "epoch 1, step 1"),
+    ("bench", (persample, "gram"), "fngd: epoch 1, step 1"),
+    ("train", (train, "evaluate"), "epoch 1, test split"),
+    ("bench", (train, "evaluate"), "sgd: epoch 4, test split"),
+], ids=["train-step", "bench-step", "train-evaluation", "bench-evaluation"])
+def test_out_of_memory_in_training_names_where_and_exits_3(command, where, prefix, tmp_path,
+                                                           out_dir, capsys, monkeypatch):
+    monkeypatch.setattr(*where, _out_of_memory)
+    text = CFG.replace("epochs = 2", "epochs = 4").replace("lr = 0.5", "lr = 0.1")
+    assert main([command, "--config", str(_write_cfg(tmp_path, text))]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {prefix}: {NO_MEMORY}\n"
+
+
+@pytest.mark.parametrize("command", ["train", "bench"])
+@pytest.mark.parametrize("where", [(data, "synthetic_classification"), (nn.Dense, "create")],
+                         ids=["data", "dense-layer"])
+def test_out_of_memory_at_set_up_exits_2_before_any_output(command, where, tmp_path, out_dir,
+                                                           capsys, monkeypatch):
+    monkeypatch.setattr(*where, _out_of_memory)
+    text = CFG.replace("epochs = 2", "epochs = 4").replace("lr = 0.5", "lr = 0.1")
+    assert main([command, "--config", str(_write_cfg(tmp_path, text))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {NO_MEMORY}\n"
+    assert not out_dir.exists()
 
 
 @pytest.mark.filterwarnings("error")

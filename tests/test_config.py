@@ -149,13 +149,15 @@ def test_nobias_dense(tmp_path):
         (("seed = 1", "seed = 1\nbeta2 = 0.999"), r"train\.beta2: unknown key"),
         (("seed = 1", "seed = 1\neps = 1e-8"), r"train\.eps: unknown key"),
         (("seed = 1", "seed = 1\nweight_decay = 0.01"), r"train\.weight_decay: unknown key"),
-        (("seed = 1", "seed = 1\nmilestones = 0.75 0.5"), r"train\.milestones: unknown key"),
-        (("optimizer = fngd", "optimizer = adamw"),
-         r"train\.optimizer: unknown optimizer 'adamw'"),
-        (("seed = 1", "seed = -1"), r"train\.seed: must be non-negative"),
     ] + [
         # Cases with ids named after the refused key; cases move here from
         # the end of the list above, which renames none of the cases before them.
+        pytest.param(("seed = 1", "seed = 1\nmilestones = 0.75 0.5"),
+                     r"train\.milestones: unknown key", id="train.milestones-descending"),
+        pytest.param(("optimizer = fngd", "optimizer = adamw"),
+                     r"train\.optimizer: unknown optimizer 'adamw'", id="train.optimizer-adamw"),
+        pytest.param(("seed = 1", "seed = -1"), r"train\.seed: must be non-negative",
+                     id="train.seed-negative"),
         pytest.param(("lr = 0.5", "lr = nan"),
                      r"^train\.lr: must be positive and finite, got nan$", id="train.lr-nan"),
         pytest.param(("lr = 0.5", "lr = inf"),

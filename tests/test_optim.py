@@ -29,7 +29,7 @@ def test_momentum_buffer_recurrence():
 def test_momentum_steps_match_the_recurrence_bitwise():
     # Three steps, the last across the first lr milestone; the buffer is
     # updated in place and the caller's gradients are left alone.
-    rates = optim.lr_schedule(0.2, 4)[:3]
+    rates = list(optim.lr_schedule(0.2, 4))[:3]
     assert rates[1] != rates[2]
     rng = _rng(3)
     shapes = {"w": (3, 4), "b": (3,)}
@@ -107,7 +107,7 @@ def test_ngd_solves_every_step_and_shared_step_never_solves(monkeypatch):
 # --------------------------------------------------------------- schedule
 
 def test_schedule_default_milestones_hand_values():
-    rates = optim.lr_schedule(0.2, 100)
+    rates = list(optim.lr_schedule(0.2, 100))
     assert [e for e in range(1, 100) if rates[e] != rates[e - 1]] == [50, 75]
     assert rates[0] == 0.2
     assert rates[49] == 0.2
@@ -120,7 +120,13 @@ def test_schedule_default_milestones_hand_values():
 def test_schedule_short_run_starts_at_base_lr():
     # int(f * epochs) is 0 for every fraction of a one-epoch run; a
     # milestone there would decay the lr before the first step
-    assert optim.lr_schedule(0.1, 1) == [0.1]
+    assert list(optim.lr_schedule(0.1, 1)) == [0.1]
     # both milestones at epoch 1 for two epochs, at epochs 1 and 2 for three
-    assert optim.lr_schedule(0.1, 2) == [0.1, 0.1 * 0.1 ** 2]
-    assert optim.lr_schedule(0.1, 3) == [0.1, 0.1 * 0.1, 0.1 * 0.1 ** 2]
+    assert list(optim.lr_schedule(0.1, 2)) == [0.1, 0.1 * 0.1 ** 2]
+    assert list(optim.lr_schedule(0.1, 3)) == [0.1, 0.1 * 0.1, 0.1 * 0.1 ** 2]
+
+
+def test_schedule_yields_the_first_rate_of_any_run_at_once():
+    # nothing is built per epoch before the first one starts, so a
+    # mistyped epoch count does not hold the run before its first step
+    assert next(optim.lr_schedule(0.1, 10**20)) == 0.1

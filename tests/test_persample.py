@@ -184,6 +184,12 @@ def test_gram_dispatches_on_capture_kind():
     assert np.array_equal(g, persample.gram_conv(want_u))
     assert np.array_equal(u, want_u)
 
+    # a conv capture before backward is refused by name, as build_u_conv does
+    fresh = nn.forward(nn.Network([nn.Conv2d.create(1, 2, 3, "same", 4, 4, _rng(18))]),
+                       _rng(19).standard_normal((16, 3))).captures[0]
+    with pytest.raises(ValueError, match="^layer 0 capture has no Z; run backward first$"):
+        persample.gram(fresh)
+
 
 def _block_budget(cap, width):
     """The U budget that fits exactly `width` output channels' rows."""

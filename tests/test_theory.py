@@ -31,13 +31,19 @@ def test_problem_validation():
         theory.LinearProblem((j,), np.zeros(2), np.zeros(2), np.zeros(5))
 
 
-def test_problem_gram_is_block_diagonal():
-    prob = theory.make_linear_problem([4, 5], m=3, seed=0)
-    g = prob.gram()
-    assert g.shape == (6, 6)
-    assert np.array_equal(g[:3, :3], prob.blocks[0].T @ prob.blocks[0])
-    assert np.array_equal(g[3:, 3:], prob.blocks[1].T @ prob.blocks[1])
-    assert np.abs(g[:3, 3:]).max() == 0.0
+def test_problem_eig_range_is_the_block_diagonal_extremes():
+    # each block's J^T J has eigenvalues in [0.64, 2.56] before scaling, so
+    # the smallest comes from the first block and the largest from the last
+    base = theory.make_linear_problem([4, 5, 6], m=3, seed=0)
+    blocks = tuple(s * j for s, j in zip((0.5, 1.0, 2.0), base.blocks))
+    prob = theory.LinearProblem(blocks, base.y, base.v0, base.w0)
+    g = np.zeros((9, 9))
+    for i, j in enumerate(blocks):
+        g[3 * i : 3 * i + 3, 3 * i : 3 * i + 3] = j.T @ j
+    eigs = np.linalg.eigvalsh(g)
+    lmin, lmax = prob.eig_range()
+    assert abs(lmin - eigs[0]) <= 1e-12 * eigs[-1]
+    assert abs(lmax - eigs[-1]) <= 1e-12 * eigs[-1]
 
 
 def test_problem_eig_range_within_singular_value_bounds():
