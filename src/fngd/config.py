@@ -115,10 +115,19 @@ class TrainConfig:
 
 _REQUIRED = object()
 
+# The rule a key's value is read by: its cast, a test of the cast value
+# (None passes any), and the words that refuse a value failing the test.
+_TEXT = (str, None, "")
+_POSITIVE = (int, lambda v: v > 0, "must be positive")
+_NON_NEGATIVE = (int, lambda v: v >= 0, "must be non-negative")
+_POSITIVE_FINITE = (float, lambda v: 0.0 < v < math.inf, "must be positive and finite")
+_CLASSES = (int, lambda v: v >= 2, "need at least 2")
 
-def _one(sections, section: str, key: str, default=_REQUIRED, cast=str):
+
+def _one(sections, section: str, key: str, default=_REQUIRED, rule=_TEXT):
     """Take one key out of `sections`, so that what is left unread at
-    the end is refused as unknown."""
+    the end is refused as unknown.  A value given in the file is cast and
+    tested by `rule`; this is the one place a key's own value is refused."""
     values = sections.get(section, {}).pop(key, None)
     if values is None:
         if default is _REQUIRED:
@@ -126,10 +135,14 @@ def _one(sections, section: str, key: str, default=_REQUIRED, cast=str):
         return default
     if len(values) > 1:
         raise ConfigError(f"{section}.{key}: given {len(values)} times, expected once")
+    cast, test, words = rule
     try:
-        return cast(values[0])
+        value = cast(values[0])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{section}.{key}: bad value {values[0]!r} ({exc})") from exc
+    if test is not None and not test(value):
+        raise ConfigError(f"{section}.{key}: {words}, got {value!r}")
+    return value
 
 
 # Each weighted layer kind's usage and the count of integers it starts with.
@@ -193,43 +206,32 @@ def _parse_model(sections) -> ModelSpec:
     layers = tuple(_parse_layer(raw, i) for i, raw in enumerate(raw_layers))
     # Both dataset kinds give class labels, so cross-entropy is the one loss
     # a run trains with; configs may still spell it out.
-    loss = _one(sections, "model", "loss", default="cross_entropy")
-    if loss != "cross_entropy":
-        raise ConfigError(f"model.loss: only cross_entropy trains on class labels, "
-                          f"got {loss!r}")
+    _one(sections, "model", "loss", default="cross_entropy",
+         rule=(str, "cross_entropy".__eq__, "only cross_entropy trains on class labels"))
     return ModelSpec(shape, layers)
 
 
-# The dataset keys each kind reads.  A key that only the other kind reads
-# is refused by name, so it cannot look as if it had been applied.
+# The dataset keys each kind reads, by rule.  A key that only the other
+# kind reads is refused by name, so it cannot look as if it had been applied.
 DATASET_KEYS = {
-    "synthetic": ("n", "features", "classes", "test_n"),
-    "idx": ("images", "labels", "test_images", "test_labels", "classes"),
+    "synthetic": {"n": _POSITIVE, "features": _POSITIVE, "classes": _CLASSES,
+                  "test_n": _NON_NEGATIVE},
+    "idx": {"images": _TEXT, "labels": _TEXT, "test_images": _TEXT, "test_labels": _TEXT,
+            "classes": _CLASSES},
 }
 
 
 def _parse_dataset(sections) -> DatasetSpec:
-    kind = _one(sections, "dataset", "kind", default="synthetic")
-    if kind not in DATASET_KEYS:
-        raise ConfigError(f"dataset.kind: expected synthetic or idx, got {kind!r}")
+    kind = _one(sections, "dataset", "kind", default="synthetic",
+                rule=(str, DATASET_KEYS.__contains__, "expected synthetic or idx"))
     read = DATASET_KEYS[kind]
     for key in sections.get("dataset", {}):
         if key not in read and any(key in keys for keys in DATASET_KEYS.values()):
             raise ConfigError(f"dataset.{key}: not read for {kind} datasets")
-    classes = _one(sections, "dataset", "classes", default=DatasetSpec.classes, cast=int)
-    if classes < 2:
-        raise ConfigError(f"dataset.classes: need at least 2, got {classes}")
-    cast = int if kind == "synthetic" else str
-    values = {key: _one(sections, "dataset", key, default=getattr(DatasetSpec, key), cast=cast)
-              for key in read if key != "classes"}
-    spec = DatasetSpec(kind=kind, classes=classes, **values)
+    values = {key: _one(sections, "dataset", key, default=getattr(DatasetSpec, key), rule=rule)
+              for key, rule in read.items()}
+    spec = DatasetSpec(kind=kind, **values)
     if kind == "synthetic":
-        if spec.n < 1:
-            raise ConfigError(f"dataset.n: must be positive, got {spec.n}")
-        if spec.features < 1:
-            raise ConfigError(f"dataset.features: must be positive, got {spec.features}")
-        if spec.test_n < 0:
-            raise ConfigError(f"dataset.test_n: must be non-negative, got {spec.test_n}")
         if spec.classes > spec.n + spec.test_n:
             raise ConfigError(f"dataset.classes: need at least one sample per class, got "
                               f"{spec.classes} classes for n + test_n = {spec.n + spec.test_n}")
@@ -239,7 +241,7 @@ def _parse_dataset(sections) -> DatasetSpec:
         if not spec.labels:
             raise ConfigError("dataset.labels: required for idx datasets")
         for key, value in values.items():
-            if value and not Path(value).exists():
+            if key != "classes" and value and not Path(value).exists():
                 raise ConfigError(f"dataset.{key}: file not found: {value}")
         if (spec.test_images is None) != (spec.test_labels is None):
             raise ConfigError("dataset.test_images/test_labels: give both or neither")
@@ -265,24 +267,14 @@ def load_train_config(path, out_dir=None) -> TrainConfig:
         raise ConfigError(f"train.optimizer: unknown optimizer {kind!r}")
     optim = OptimSpec(
         kind=kind,
-        lr=_one(sections, "train", "lr", default=OptimSpec.lr, cast=float),
-        alpha=_one(sections, "train", "alpha", default=OptimSpec.alpha, cast=float),
-        fixed_damping=_one(sections, "train", "fixed_damping", default=None, cast=float),
+        lr=_one(sections, "train", "lr", default=OptimSpec.lr, rule=_POSITIVE_FINITE),
+        alpha=_one(sections, "train", "alpha", default=OptimSpec.alpha, rule=_POSITIVE_FINITE),
+        fixed_damping=_one(sections, "train", "fixed_damping", default=None,
+                           rule=_POSITIVE_FINITE),
     )
-    for key in ("lr", "alpha", "fixed_damping"):
-        value = getattr(optim, key)
-        if value is not None and not 0.0 < value < math.inf:
-            raise ConfigError(f"train.{key}: must be positive and finite, got {value}")
-
-    epochs = _one(sections, "train", "epochs", default=_REQUIRED, cast=int)
-    batch_size = _one(sections, "train", "batch_size", default=_REQUIRED, cast=int)
-    seed = _one(sections, "train", "seed", default=0, cast=int)
-    if epochs < 1:
-        raise ConfigError(f"train.epochs: must be positive, got {epochs}")
-    if batch_size < 1:
-        raise ConfigError(f"train.batch_size: must be positive, got {batch_size}")
-    if seed < 0:
-        raise ConfigError(f"train.seed: must be non-negative, got {seed}")
+    epochs = _one(sections, "train", "epochs", rule=_POSITIVE)
+    batch_size = _one(sections, "train", "batch_size", rule=_POSITIVE)
+    seed = _one(sections, "train", "seed", default=0, rule=_NON_NEGATIVE)
 
     if kind in PRECONDITIONED and batch_size < 2:
         raise ConfigError(

@@ -48,7 +48,8 @@ def build_network(model: ModelSpec, seed: int) -> nn.Network:
     The shape each layer gets starts as model.input_shape and becomes
     (out,) after a dense layer, (out_ch, out_h, out_w) after a conv;
     dense layers flatten it.  Each weighted layer is checked against it
-    as it is built, so a chain is refused at its first fault.
+    as it is built, so a chain is refused at its first fault; a layer
+    that numpy or the layer class will not make is refused by its key.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     shape = model.input_shape
@@ -58,31 +59,31 @@ def build_network(model: ModelSpec, seed: int) -> nn.Network:
             layers.append(nn.Relu())
             continue
         if spec.kind == "dense":
-            in_dim, out_dim = spec.dims
+            in_dim = spec.dims[0]
             if in_dim != math.prod(shape):
                 raise ConfigError(f"model.layer[{i}]: dense expects {in_dim} inputs but "
                                   f"the previous layer provides {math.prod(shape)}")
-            layers.append(nn.Dense.create(in_dim, out_dim, rng, bias=spec.bias))
-            shape = (out_dim,)
-            continue
-        in_ch, out_ch, kernel = spec.dims
-        if len(shape) != 3:
-            raise ConfigError(
-                f"model.layer[{i}]: conv needs a spatial input; give model.input "
-                f"as '<channels> <height> <width>'"
-            )
-        if in_ch != shape[0]:
-            raise ConfigError(
-                f"model.layer[{i}]: conv expects {in_ch} channels but the previous "
-                f"layer provides {shape[0]}"
-            )
+            create, args = nn.Dense.create, spec.dims
+        else:
+            in_ch = spec.dims[0]
+            if len(shape) != 3:
+                raise ConfigError(
+                    f"model.layer[{i}]: conv needs a spatial input; give model.input "
+                    f"as '<channels> <height> <width>'"
+                )
+            if in_ch != shape[0]:
+                raise ConfigError(
+                    f"model.layer[{i}]: conv expects {in_ch} channels but the previous "
+                    f"layer provides {shape[0]}"
+                )
+            create, args = nn.Conv2d.create, (*spec.dims, spec.padding, *shape[1:])
         try:
-            layer = nn.Conv2d.create(in_ch, out_ch, kernel, spec.padding,
-                                     shape[1], shape[2], rng, bias=spec.bias)
-        except ValueError as exc:  # an unsupported kernel size, or one the input cannot fit
+            layer = create(*args, rng, bias=spec.bias)
+        except (ValueError, MemoryError) as exc:
             raise ConfigError(f"model.layer[{i}]: {exc}") from exc
         layers.append(layer)
-        shape = (out_ch, layer.out_h, layer.out_w)
+        shape = ((layer.out_dim,) if spec.kind == "dense"
+                 else (layer.out_channels, layer.out_h, layer.out_w))
     try:
         return nn.Network(layers)
     except ValueError as exc:  # no dense or conv layer at all
@@ -93,12 +94,20 @@ def load_datasets(cfg: TrainConfig) -> tuple[data.Dataset, data.Dataset | None]:
     """Training split plus an optional held-out split.
 
     Synthetic data draws n + test_n samples in one seeded pass (shared
-    cluster means) and cuts off the tail as the test set.
+    cluster means) and cuts off the tail as the test set; a draw that
+    numpy refuses (too wide for its index range, or for memory) is
+    refused under dataset.n or dataset.features, whichever is larger,
+    with both sizes of the array.
     """
     ds = cfg.dataset
     if ds.kind == "synthetic":
         total = ds.n + ds.test_n
-        full = data.synthetic_classification(total, ds.features, ds.classes, cfg.seed)
+        try:
+            full = data.synthetic_classification(total, ds.features, ds.classes, cfg.seed)
+        except (ValueError, MemoryError) as exc:
+            key = "features" if ds.features > total else "n"
+            raise ConfigError(f"dataset.{key}: n + test_n = {total} samples of {ds.features} "
+                              f"features: {exc}") from exc
         if ds.test_n == 0:
             return full, None
         return data.split(full, ds.n)

@@ -392,6 +392,9 @@ def _conv_line(line):
     return [(MODEL, CONV_MODEL.replace("conv 1 2 3 same", line)), CONV_DATA]
 
 
+# A width beyond numpy's index range, which it refuses before allocating.
+TOO_WIDE = "99999999999999999999"
+
 # Every refusal of the model and the loader's range refusals, by the exact
 # line each prints; the ids name the refused key.
 EXACT_REFUSALS = [
@@ -463,6 +466,16 @@ EXACT_REFUSALS = [
                  "dataset.test_n: must be non-negative, got -1", id="dataset.test_n"),
     pytest.param([("batch_size = 8", "batch_size = 0")],
                  "train.batch_size: must be positive, got 0", id="train.batch_size"),
+    # sizes numpy refuses before it allocates anything, named by their keys
+    pytest.param([("dense 5 4", f"dense 5 {TOO_WIDE}")],
+                 "model.layer[0]: Maximum allowed dimension exceeded",
+                 id="model.layer-dense-too-wide"),
+    pytest.param([("n = 40", f"n = {TOO_WIDE}")],
+                 f"dataset.n: n + test_n = {int(TOO_WIDE) + 16} samples of 5 features: "
+                 f"Maximum allowed dimension exceeded", id="dataset.n-too-wide"),
+    pytest.param([("features = 5", f"features = {TOO_WIDE}")],
+                 f"dataset.features: n + test_n = 56 samples of {TOO_WIDE} features: "
+                 f"Maximum allowed dimension exceeded", id="dataset.features-too-wide"),
 ]
 
 
@@ -692,16 +705,18 @@ def test_out_of_memory_in_training_names_where_and_exits_3(command, where, prefi
 
 
 @pytest.mark.parametrize("command", ["train", "bench"])
-@pytest.mark.parametrize("where", [(data, "synthetic_classification"), (nn.Dense, "create")],
-                         ids=["data", "dense-layer"])
-def test_out_of_memory_at_set_up_exits_2_before_any_output(command, where, tmp_path, out_dir,
-                                                           capsys, monkeypatch):
+@pytest.mark.parametrize("where, key", [
+    ((data, "synthetic_classification"), "dataset.n: n + test_n = 56 samples of 5 features"),
+    ((nn.Dense, "create"), "model.layer[0]"),
+], ids=["data", "dense-layer"])
+def test_out_of_memory_at_set_up_exits_2_before_any_output(command, where, key, tmp_path,
+                                                           out_dir, capsys, monkeypatch):
     monkeypatch.setattr(*where, _out_of_memory)
     text = CFG.replace("epochs = 2", "epochs = 4").replace("lr = 0.5", "lr = 0.1")
     assert main([command, "--config", str(_write_cfg(tmp_path, text))]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {NO_MEMORY}\n"
+    assert captured.err == f"error: {key}: {NO_MEMORY}\n"
     assert not out_dir.exists()
 
 

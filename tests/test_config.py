@@ -146,12 +146,15 @@ def test_nobias_dense(tmp_path):
         (("seed = 1", "seed = 1\nlam_floor = 1e-12"), r"^train\.lam_floor: unknown key$"),
         (("seed = 1", "seed = 1\nmomentum = -3"), r"train\.momentum: unknown key"),
         (("seed = 1", "seed = 1\nbeta1 = 0.9"), r"train\.beta1: unknown key"),
-        (("seed = 1", "seed = 1\nbeta2 = 0.999"), r"train\.beta2: unknown key"),
-        (("seed = 1", "seed = 1\neps = 1e-8"), r"train\.eps: unknown key"),
-        (("seed = 1", "seed = 1\nweight_decay = 0.01"), r"train\.weight_decay: unknown key"),
     ] + [
         # Cases with ids named after the refused key; cases move here from
         # the end of the list above, which renames none of the cases before them.
+        pytest.param(("seed = 1", "seed = 1\nbeta2 = 0.999"), r"train\.beta2: unknown key",
+                     id="train.beta2-unknown"),
+        pytest.param(("seed = 1", "seed = 1\neps = 1e-8"), r"train\.eps: unknown key",
+                     id="train.eps-unknown"),
+        pytest.param(("seed = 1", "seed = 1\nweight_decay = 0.01"),
+                     r"train\.weight_decay: unknown key", id="train.weight_decay-unknown"),
         pytest.param(("seed = 1", "seed = 1\nmilestones = 0.75 0.5"),
                      r"train\.milestones: unknown key", id="train.milestones-descending"),
         pytest.param(("optimizer = fngd", "optimizer = adamw"),
@@ -185,6 +188,10 @@ def test_nobias_dense(tmp_path):
                       "kind = idx\nimages = images.idx\nlabels = labels.idx\nclasses = 1"),
                      r"^dataset\.classes: need at least 2, got 1$",
                      id="dataset.classes-one-idx"),
+        # a config with two faults is refused at the first key read
+        pytest.param(("lr = 0.5", "lr = 0\nalpha = x"),
+                     r"^train\.lr: must be positive and finite, got 0\.0$",
+                     id="train.lr-before-alpha"),
     ],
 )
 def test_loader_errors_name_section_and_key(tmp_path, mangle, message, monkeypatch):
