@@ -122,6 +122,9 @@ _POSITIVE = (int, lambda v: v > 0, "must be positive")
 _NON_NEGATIVE = (int, lambda v: v >= 0, "must be non-negative")
 _POSITIVE_FINITE = (float, lambda v: 0.0 < v < math.inf, "must be positive and finite")
 _CLASSES = (int, lambda v: v >= 2, "need at least 2")
+# Paths stay text, so that a refusal shows the value as it was written.
+_INPUT = (str, lambda v: Path(v).is_file(), "file not found")
+_OUTPUT = (str, lambda v: Path(v).name not in ("", ".."), "must name a file")
 
 
 def _one(sections, section: str, key: str, default=_REQUIRED, rule=_TEXT):
@@ -216,8 +219,8 @@ def _parse_model(sections) -> ModelSpec:
 DATASET_KEYS = {
     "synthetic": {"n": _POSITIVE, "features": _POSITIVE, "classes": _CLASSES,
                   "test_n": _NON_NEGATIVE},
-    "idx": {"images": _TEXT, "labels": _TEXT, "test_images": _TEXT, "test_labels": _TEXT,
-            "classes": _CLASSES},
+    "idx": {"classes": _CLASSES, "images": _INPUT, "labels": _INPUT, "test_images": _INPUT,
+            "test_labels": _INPUT},
 }
 
 
@@ -240,9 +243,6 @@ def _parse_dataset(sections) -> DatasetSpec:
             raise ConfigError("dataset.images: required for idx datasets")
         if not spec.labels:
             raise ConfigError("dataset.labels: required for idx datasets")
-        for key, value in values.items():
-            if key != "classes" and value and not Path(value).exists():
-                raise ConfigError(f"dataset.{key}: file not found: {value}")
         if (spec.test_images is None) != (spec.test_labels is None):
             raise ConfigError("dataset.test_images/test_labels: give both or neither")
     return spec
@@ -286,19 +286,16 @@ def load_train_config(path, out_dir=None) -> TrainConfig:
             f"the shared coefficients), got {epochs}"
         )
 
-    metrics_path = Path(_one(sections, "output", "metrics", default=TrainConfig.metrics_path))
-    bench_path = Path(_one(sections, "output", "bench", default=TrainConfig.bench_path))
-    raw_coeffs = _one(sections, "output", "coeffs", default=None)
-    coeffs_path = Path(raw_coeffs) if raw_coeffs else None
+    outputs = {}
+    for key in ("metrics", "bench", "coeffs"):
+        value = _one(sections, "output", key, default=getattr(TrainConfig, f"{key}_path"),
+                     rule=_OUTPUT)
+        if value is not None:
+            path = Path(value)
+            outputs[f"{key}_path"] = path if out_dir is None else Path(out_dir, path.name)
     unknown = [f"{section}.{key}" for section, keys in sections.items() for key in keys]
     if unknown:
         raise ConfigError(f"{unknown[0]}: unknown key")
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        metrics_path = out_dir / metrics_path.name
-        bench_path = out_dir / bench_path.name
-        if coeffs_path is not None:
-            coeffs_path = out_dir / coeffs_path.name
 
     return TrainConfig(
         dataset=dataset,
@@ -307,7 +304,5 @@ def load_train_config(path, out_dir=None) -> TrainConfig:
         epochs=epochs,
         batch_size=batch_size,
         seed=seed,
-        metrics_path=metrics_path,
-        coeffs_path=coeffs_path,
-        bench_path=bench_path,
+        **outputs,
     )

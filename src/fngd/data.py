@@ -162,8 +162,9 @@ def synthetic_classification(n: int, d: int, k: int, seed: int) -> Dataset:
     rng = np.random.Generator(np.random.PCG64(seed))
     means = rng.standard_normal((k, d))
     means /= np.linalg.norm(means, axis=1, keepdims=True)
-    gaps = np.linalg.norm(means[:, None, :] - means[None, :, :], axis=2)
-    min_gap = float(gaps[~np.eye(k, dtype=bool)].min())
+    # one row of pairs at a time, so no classes x classes x features array
+    min_gap = min(float(np.linalg.norm(means[c + 1:] - means[c], axis=1).min())
+                  for c in range(k - 1))
     if min_gap <= 0.0:
         raise ValueError(f"degenerate cluster means for seed {seed}")
     sigma = min(0.2, min_gap / 4.0)

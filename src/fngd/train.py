@@ -119,10 +119,16 @@ def load_datasets(cfg: TrainConfig) -> tuple[data.Dataset, data.Dataset | None]:
 
 def _load_idx_split(images, labels, classes: int, prefix: str) -> data.Dataset:
     """One IDX split; a file that does not fit is refused by key and file:
-    an images file that holds labels or no images at all under
-    dataset.<prefix>images, labels that do not fit the images under
-    dataset.<prefix>labels."""
-    inputs, targets = data.load_idx(images), data.load_idx(labels)
+    a file that cannot be read or parsed under its own key, an images file
+    that holds labels or no images at all under dataset.<prefix>images,
+    labels that do not fit the images under dataset.<prefix>labels."""
+    def load(key, path):
+        try:
+            return data.load_idx(path)
+        except (data.IdxFormatError, OSError) as exc:
+            raise ConfigError(f"dataset.{prefix}{key}: {exc}") from exc
+
+    inputs, targets = load("images", images), load("labels", labels)
     if inputs.ndim != 2:
         raise ConfigError(f"dataset.{prefix}images: {images}: holds IDX labels, "
                           f"not images")

@@ -476,6 +476,14 @@ EXACT_REFUSALS = [
     pytest.param([("features = 5", f"features = {TOO_WIDE}")],
                  f"dataset.features: n + test_n = 56 samples of {TOO_WIDE} features: "
                  f"Maximum allowed dimension exceeded", id="dataset.features-too-wide"),
+    # output paths that name no file; an empty one would otherwise be
+    # redirected to FNGD_OUTPUT_DIR itself, or leave the table unsaved
+    pytest.param([("seed = 3", "seed = 3\n\n[output]\nmetrics =")],
+                 "output.metrics: must name a file, got ''", id="output.metrics-empty"),
+    pytest.param([("seed = 3", "seed = 3\n\n[output]\nmetrics = ..")],
+                 "output.metrics: must name a file, got '..'", id="output.metrics-parent"),
+    pytest.param([("seed = 3", "seed = 3\n\n[output]\ncoeffs =")],
+                 "output.coeffs: must name a file, got ''", id="output.coeffs-empty"),
 ]
 
 
@@ -549,6 +557,54 @@ def test_label_file_refusal_names_the_key_and_file_before_any_output(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: dataset.{key}: {paths[key]}: {reason}"]
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    pytest.param("test_images", "", id="dataset.test_images-empty"),
+    pytest.param("images", "{tmp}", id="dataset.images-directory"),
+])
+def test_idx_path_that_is_no_file_prints_its_exact_line_before_any_output(
+        key, value, tmp_path, out_dir, capsys):
+    text, paths = _idx_config(tmp_path, _labels(40), _labels(16))
+    value = value.format(tmp=tmp_path)
+    text = text.replace(f"\n{key} = {paths[key]}\n", f"\n{key} = {value}\n")
+    # four epochs, so that bench gets past its own epoch minimum
+    cfg = _write_cfg(tmp_path, text.replace("epochs = 2", "epochs = 4"))
+    for command in ("train", "bench"):
+        assert main([command, "--config", str(cfg)]) == 2, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: dataset.{key}: file not found, got {value!r}"]
+        assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("key, cut, reason", [
+    pytest.param("images", None, "unsupported IDX magic 0x5b646174",
+                 id="dataset.images-bad-magic"),
+    pytest.param("labels", 10, "truncated IDX payload: header promises 40 bytes, file holds 30",
+                 id="dataset.labels-truncated"),
+    pytest.param("test_images", 10,
+                 "truncated IDX payload: header promises 64 bytes, file holds 54",
+                 id="dataset.test_images-truncated"),
+    pytest.param("test_labels", None, "unsupported IDX magic 0x5b646174",
+                 id="dataset.test_labels-bad-magic"),
+])
+def test_idx_file_that_does_not_parse_names_its_key_and_file_before_any_output(
+        key, cut, reason, tmp_path, out_dir, capsys):
+    # cut drops that many bytes from the file's end; None writes the
+    # config text in its place, whose "[dat" reads as the magic number
+    text, paths = _idx_config(tmp_path, _labels(40), _labels(16))
+    path = paths[key]
+    if cut is None:
+        path.write_text(text)
+    else:
+        path.write_bytes(path.read_bytes()[:-cut])
+    assert main(["train", "--config", str(_write_cfg(tmp_path, text))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: dataset.{key}: {path}: {reason}"]
     assert not out_dir.exists()
 
 
@@ -846,7 +902,7 @@ def test_truncated_gzip_idx_exits_2_before_any_output(tmp_path, out_dir, capsys)
     assert captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1
-    assert err[0].startswith(f"error: {imgs}: corrupt gzip stream")
+    assert err[0].startswith(f"error: dataset.images: {imgs}: corrupt gzip stream")
     assert not out_dir.exists()
 
 

@@ -143,12 +143,15 @@ def test_nobias_dense(tmp_path):
         (("kind = synthetic", "kind = parquet"), r"dataset\.kind: expected synthetic or idx"),
         (("seed = 1", "seed = 1\nfixed_damping = -1"),
          r"train\.fixed_damping: must be positive"),
-        (("seed = 1", "seed = 1\nlam_floor = 1e-12"), r"^train\.lam_floor: unknown key$"),
-        (("seed = 1", "seed = 1\nmomentum = -3"), r"train\.momentum: unknown key"),
-        (("seed = 1", "seed = 1\nbeta1 = 0.9"), r"train\.beta1: unknown key"),
     ] + [
         # Cases with ids named after the refused key; cases move here from
         # the end of the list above, which renames none of the cases before them.
+        pytest.param(("seed = 1", "seed = 1\nlam_floor = 1e-12"),
+                     r"^train\.lam_floor: unknown key$", id="train.lam_floor-unknown"),
+        pytest.param(("seed = 1", "seed = 1\nmomentum = -3"), r"train\.momentum: unknown key",
+                     id="train.momentum-unknown"),
+        pytest.param(("seed = 1", "seed = 1\nbeta1 = 0.9"), r"train\.beta1: unknown key",
+                     id="train.beta1-unknown"),
         pytest.param(("seed = 1", "seed = 1\nbeta2 = 0.999"), r"train\.beta2: unknown key",
                      id="train.beta2-unknown"),
         pytest.param(("seed = 1", "seed = 1\neps = 1e-8"), r"train\.eps: unknown key",
@@ -188,6 +191,11 @@ def test_nobias_dense(tmp_path):
                       "kind = idx\nimages = images.idx\nlabels = labels.idx\nclasses = 1"),
                      r"^dataset\.classes: need at least 2, got 1$",
                      id="dataset.classes-one-idx"),
+        # a missing file is refused at its read, before the keys read after it
+        pytest.param(("kind = synthetic\nn = 60\nfeatures = 5\nclasses = 2\ntest_n = 20",
+                      "kind = idx\nimages = ghost.idx\nlabels ="),
+                     r"^dataset\.images: file not found, got 'ghost\.idx'$",
+                     id="dataset.images-missing-before-labels"),
         # a config with two faults is refused at the first key read
         pytest.param(("lr = 0.5", "lr = 0\nalpha = x"),
                      r"^train\.lr: must be positive and finite, got 0\.0$",

@@ -2,6 +2,7 @@
 
 import gzip
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,6 +148,19 @@ def test_synthetic_is_deterministic():
     assert np.array_equal(a.targets, b.targets)
     c = data.synthetic_classification(100, 2, 2, seed=8)
     assert not np.array_equal(a.inputs, c.inputs)
+
+
+def test_synthetic_draw_holds_no_classes_squared_array():
+    # one array of every pair's mean difference, classes x classes x
+    # features, would take 200 * 200 * 200 * 8 bytes = 64 MB here; the
+    # data itself is 0.6 MB
+    tracemalloc.start()
+    try:
+        data.synthetic_classification(400, 200, 200, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_synthetic_class_balance():

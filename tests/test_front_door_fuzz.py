@@ -1,10 +1,11 @@
 """A standing fuzz of the front door.
 
-Configs one to three lines away from a tiny dense run and a tiny conv
-run go through cli.main in process, and each must end in one of the
-three ways the CLI promises: exit 0 with nothing on stderr, exit 2 with
-one keyed `error:` line and no output file, or exit 3 with one `error:`
-line naming where training failed.
+Configs one to three lines away from a tiny dense run, a tiny conv run
+and a tiny run over IDX files go through cli.main in process, and each
+must end in one of the three ways the CLI promises: exit 0 with nothing
+on stderr and the output directory still a directory, exit 2 with one
+keyed `error:` line and no output file, or exit 3 with one `error:` line
+naming where training failed.
 """
 
 import contextlib
@@ -17,9 +18,11 @@ import warnings
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import write_idx_images, write_idx_labels
 from fngd.cli import OUTPUT_DIR_ENV, main
 from fngd.train import BENCH_VARIANTS
 
@@ -52,6 +55,17 @@ CONV = (DENSE.replace("features = 5", "features = 9")
         .replace("input = 5\nlayer = dense 5 4\nlayer = relu\nlayer = dense 4 2",
                  "input = 1 3 3\nlayer = conv 1 2 3\nlayer = relu\nlayer = dense 18 2"))
 
+# Each example writes the IDX files into its own temp dir, which the
+# config names as TMP.  This base also sets output.coeffs and
+# output.bench, so that their pools are drawn.
+TMP = "<tmp>"
+IDX_KEYS = ("images", "labels", "test_images", "test_labels")
+IDX = (DENSE.replace("kind = synthetic\nn = 40\nfeatures = 5\nclasses = 2\ntest_n = 8",
+                     "kind = idx\nclasses = 2\n" + "\n".join(f"{k} = {TMP}/{k}.idx"
+                                                              for k in IDX_KEYS))
+       .replace("input = 5\nlayer = dense 5 4", "input = 4\nlayer = dense 4 4")
+       + "coeffs = coeffs.csv\nbench = bench.csv\n")
+
 # numpy refuses an array with a dimension this large before allocating
 # anything; a size between the small ones below and this one could
 # really be allocated, so the pool holds none.
@@ -70,6 +84,15 @@ POOLS = {
     # a valid run of HUGE epochs trains for ever, by design
     "epochs": tuple(v for v in SCALARS if v != HUGE),
 }
+# An IDX path is set to no file, a missing or cut-short one, the config,
+# or the other file of its split; an output path to one that names no
+# file, or to a directory or a path under a file, which the output dir
+# redirects.
+for _key, _other in zip(IDX_KEYS, ("labels", "images", "test_labels", "test_images")):
+    POOLS[_key] = ("", TMP, f"{TMP}/missing.idx", f"{TMP}/{_key}-truncated.idx",
+                   f"{TMP}/run.cfg", f"{TMP}/{_other}.idx")
+for _key in ("metrics", "coeffs", "bench"):
+    POOLS[_key] = ("", ".", "..", "/", TMP, f"{TMP}/run.cfg/out.csv")
 
 SECTIONS = ("dataset", "model", "train", "output")
 EXAMPLE_SECONDS = 10
@@ -79,7 +102,7 @@ EXAMPLE_SECONDS = 10
 def configs(draw):
     """A base config with one to three lines set from the pool, dropped or
     repeated."""
-    lines = draw(st.sampled_from((DENSE, CONV))).splitlines()
+    lines = draw(st.sampled_from((DENSE, CONV, IDX))).splitlines()
     for _ in range(draw(st.sampled_from((1, 1, 2, 3)))):
         move = draw(st.sampled_from(("set", "set", "set", "set", "drop", "repeat")))
         if move == "set":
@@ -104,12 +127,26 @@ def _hang(signum, frame):
     raise _Hang(f"no exit within {EXAMPLE_SECONDS} s")
 
 
+def _write_idx_files(tmp):
+    """The IDX base's files in `tmp`: 40 train and 8 test 2x2 images with
+    their labels, and a copy of each file cut short."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    for prefix, n in (("", 40), ("test_", 8)):
+        write_idx_images(tmp / f"{prefix}images.idx",
+                         rng.integers(0, 255, (n, 2, 2)).astype(np.uint8))
+        write_idx_labels(tmp / f"{prefix}labels.idx", np.arange(n) % 2)
+    for key in IDX_KEYS:
+        (tmp / f"{key}-truncated.idx").write_bytes((tmp / f"{key}.idx").read_bytes()[:-3])
+
+
 def _check_front_door(text, command):
     """Run `command` on the config `text` and check that it ends in one of
     the three promised ways."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg, out_dir = Path(tmp) / "run.cfg", Path(tmp) / "out"
-        cfg.write_text(text)
+        if TMP in text:
+            _write_idx_files(Path(tmp))
+        cfg.write_text(text.replace(TMP, tmp))
         err = io.StringIO()
         previous = signal.signal(signal.SIGALRM, _hang)
         signal.setitimer(signal.ITIMER_REAL, EXAMPLE_SECONDS)
@@ -126,13 +163,14 @@ def _check_front_door(text, command):
         lines = err.getvalue().splitlines()
         if code == 0:
             assert lines == []
+            assert out_dir.is_dir() or not out_dir.exists()
             return
         assert code in (2, 3)
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
         message = lines[0][len("error: "):]
         if code == 2:
             assert re.match(rf"({'|'.join(SECTIONS)})[.:]", message) or \
-                message.startswith(f"{cfg}:"), message
+                re.match(rf"{re.escape(str(cfg))}:\d+: ", message), message
             assert not out_dir.exists()
         elif command == "train":
             assert message.startswith("epoch "), message
